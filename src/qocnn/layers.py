@@ -15,7 +15,7 @@ and the row-vector map y = x @ M gives G_x = G_y @ M^H, G_M = x^H @ G_y.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -181,14 +181,15 @@ def mod_softplus_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     r = np.abs(x)
     safe = r >= MOD_SOFTPLUS_ZERO_TOL
     r_div = np.where(safe, r, 1.0)
-    scale = np.where(safe, np.logaddexp(0.0, r) / r_div, 0.0)
-    return scale * x, (x, r, safe)
+    f = np.logaddexp(0.0, r)
+    scale = np.where(safe, f / r_div, 0.0)
+    return scale * x, (x, r_div, f, safe)
 
 
 def mod_softplus_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    x, r, safe = cache
-    r = np.where(safe, r, 1.0)
-    f = np.logaddexp(0.0, r)
+    # r is the modulus with unsafe entries set to 1 and f its softplus from
+    # the forward; both are finite everywhere and unsafe entries end at 0.
+    x, r, f, safe = cache
     fp = 1.0 / (1.0 + np.exp(-r))
     dot = x.real * grad_out.real + x.imag * grad_out.imag
     grad = (f / r) * grad_out + ((fp * r - f) / r**3) * dot * x
@@ -239,12 +240,16 @@ class Placement(NamedTuple):
 
 @dataclass
 class ConvPlan:
-    """Derived convolution geometry plus the matrices built from one kernel.
+    """Derived convolution geometry for one kernel.
 
     n = ceil(k/s) matrices each carry non-overlapping copies of the kernel
     spaced k + s0 = n*s apart; matrix i is matrix i-1 shifted by s down the
     diagonal with shifted-out entries dropped.  Their product m_f applied to
     a row vector emulates the overlapping-window convolution.
+
+    conv_forward and conv_backward apply each matrix block by block and never
+    form it.  The dense d x d `matrices` and `m_f` are built on first access
+    only, as the oracle the block path is checked against.
     """
 
     d: int
@@ -255,8 +260,19 @@ class ConvPlan:
     k_tot: int
     kernel: np.ndarray
     placements: list[Placement]
-    matrices: list[np.ndarray] = field(repr=False)
-    m_f: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def matrices(self) -> list[np.ndarray]:
+        out = []
+        for pl in self.placements:
+            m = np.zeros((self.d, self.d), dtype=np.complex128)
+            m[pl.rows, pl.cols] = self.kernel[pl.ky, pl.kz]
+            out.append(m)
+        return out
+
+    @functools.cached_property
+    def m_f(self) -> np.ndarray:
+        return functools.reduce(np.matmul, self.matrices)
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,19 +316,11 @@ def conv_geometry(d: int, k: int, s: int) -> tuple[int, int, int, tuple[Placemen
 
 
 def build_conv_plan(kernel: np.ndarray, d: int, k: int, s: int) -> ConvPlan:
-    """Construct M_1..M_n from a k x k kernel and compose them into m_f."""
+    """Validate a k x k kernel and attach the cached geometry of (d, k, s)."""
     kernel = np.asarray(kernel, dtype=np.complex128)
     if kernel.shape != (k, k):
         raise ValueError(f"kernel must have shape ({k}, {k}), got {kernel.shape}")
     n, s0, k_tot, placements = conv_geometry(d, k, s)
-    matrices = []
-    for pl in placements:
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[pl.rows, pl.cols] = kernel[pl.ky, pl.kz]
-        matrices.append(m)
-    m_f = matrices[0]
-    for m in matrices[1:]:
-        m_f = m_f @ m
     return ConvPlan(
         d=d,
         k=k,
@@ -322,43 +330,58 @@ def build_conv_plan(kernel: np.ndarray, d: int, k: int, s: int) -> ConvPlan:
         k_tot=k_tot,
         kernel=kernel,
         placements=list(placements),
-        matrices=matrices,
-        m_f=m_f,
     )
 
 
+def _to_blocks(a: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
+    """(b, d) rows -> the (b * k_tot, k) inputs of the kernel blocks of M_i.
+
+    Block j of M_i covers indices i*s + j*n*s onwards.  The row is shifted by
+    i*s and zero-padded to k_tot*n*s, so indices past d read as zero: this is
+    how the dense matrices drop the entries of partial kernels.
+    """
+    b, shift, width = a.shape[0], i * plan.s, plan.n * plan.s
+    padded = np.zeros((b, plan.k_tot * width), dtype=a.dtype)
+    padded[:, : plan.d - shift] = a[:, shift:]
+    return padded.reshape(b, plan.k_tot, width)[:, :, : plan.k].reshape(-1, plan.k)
+
+
+def _from_blocks(blocks: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
+    """Inverse of _to_blocks: block outputs -> (b, d) rows, truncated at d,
+    with the indices no block of M_i covers left at zero."""
+    shift, width = i * plan.s, plan.n * plan.s
+    b = blocks.shape[0] // plan.k_tot
+    padded = np.zeros((b, plan.k_tot, width), dtype=blocks.dtype)
+    padded[:, :, : plan.k] = blocks.reshape(b, plan.k_tot, plan.k)
+    out = np.zeros((b, plan.d), dtype=blocks.dtype)
+    out[:, shift:] = padded.reshape(b, -1)[:, : plan.d - shift]
+    return out
+
+
 def conv_forward(x: np.ndarray, plan: ConvPlan) -> tuple[np.ndarray, tuple]:
+    """y = x @ M_1 @ ... @ M_n, each M_i applied as one batched block matmul."""
     _require_batch(x, plan.d, "quantum_conv")
-    return x @ plan.m_f, (x, plan)
+    blocks = []
+    y = x
+    for i in range(plan.n):
+        blocks.append(_to_blocks(y, plan, i))
+        y = _from_blocks(blocks[-1] @ plan.kernel, plan, i)
+    return y, (blocks, plan)
 
 
 def conv_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Input gradient through m_f plus the kernel gradient summed over all
-    placements of all composition matrices."""
-    x, plan = cache
-    grad_x = grad_out @ plan.m_f.conj().T
-    g_mf = x.conj().T @ grad_out
-    n = plan.n
-    prefixes: list[np.ndarray | None] = [None]
-    acc: np.ndarray | None = None
-    for m in plan.matrices[:-1]:
-        acc = m if acc is None else acc @ m
-        prefixes.append(acc)
-    suffixes: list[np.ndarray | None] = [None] * (n + 1)
-    acc = None
-    for i in range(n - 1, 0, -1):
-        acc = plan.matrices[i] if acc is None else plan.matrices[i] @ acc
-        suffixes[i] = acc
+    """The forward's blocks in reverse: the input gradient goes through K^H,
+    and the kernel gradient sums block input^H @ block output gradient over
+    all blocks of all composition matrices."""
+    blocks, plan = cache
+    k_h = plan.kernel.conj().T
     grad_k = np.zeros((plan.k, plan.k), dtype=np.complex128)
-    for i in range(n):
-        g = g_mf
-        if prefixes[i] is not None:
-            g = prefixes[i].conj().T @ g
-        if suffixes[i + 1] is not None:
-            g = g @ suffixes[i + 1].conj().T
-        pl = plan.placements[i]
-        np.add.at(grad_k, (pl.ky, pl.kz), g[pl.rows, pl.cols])
-    return grad_x, grad_k
+    g = grad_out
+    for i in reversed(range(plan.n)):
+        g_blocks = _to_blocks(g, plan, i)
+        grad_k += blocks[i].conj().T @ g_blocks
+        g = _from_blocks(g_blocks @ k_h, plan, i)
+    return g, grad_k
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +416,20 @@ def split_max_pool_forward(
 
 
 def split_max_pool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
+    """Each output's gradient goes to its window's argmax slot.  bincount over
+    the flat slots row*n + src adds the outputs in row-major order, the same
+    sums np.add.at would form, so overlapping windows (p < w) agree bit for bit.
+    """
     shape, re_src, im_src = cache
-    rows = np.arange(shape[0])[:, None]
-    grad_re = np.zeros(shape, dtype=np.float64)
-    grad_im = np.zeros(shape, dtype=np.float64)
-    np.add.at(grad_re, (rows, re_src), grad_out.real)
-    np.add.at(grad_im, (rows, im_src), grad_out.imag)
-    return grad_re + 1j * grad_im
+    rows = np.arange(shape[0])[:, None] * shape[1]
+    size = shape[0] * shape[1]
+    grad_re = np.bincount(
+        (rows + re_src).ravel(), weights=grad_out.real.ravel(), minlength=size
+    )
+    grad_im = np.bincount(
+        (rows + im_src).ravel(), weights=grad_out.imag.ravel(), minlength=size
+    )
+    return (grad_re + 1j * grad_im).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -137,12 +137,13 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
     thresholds = np.concatenate(
         ([np.inf], np.unique(s)[::-1], [-np.inf])
     )
-    fpr = np.empty(thresholds.shape[0])
-    tpr = np.empty(thresholds.shape[0])
-    for i, t in enumerate(thresholds):
-        predicted = s >= t
-        tpr[i] = (predicted & pos).sum() / n_pos
-        fpr[i] = (predicted & ~pos).sum() / n_neg
+    # Count s >= t by binary search in each side's sorted scores; a NaN score
+    # passes no threshold, so it is left out of both.
+    valid = ~np.isnan(s)
+    pos_sorted = np.sort(s[pos & valid])
+    neg_sorted = np.sort(s[~pos & valid])
+    tpr = (pos_sorted.size - np.searchsorted(pos_sorted, thresholds, "left")) / n_pos
+    fpr = (neg_sorted.size - np.searchsorted(neg_sorted, thresholds, "left")) / n_neg
     auc = float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
     return RocCurve(class_id=c, thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
 

@@ -488,7 +488,7 @@ def _branch_signature(nodes: list[TapeNode]) -> tuple:
             _, re_src, im_src = node.cache
             sig.append((re_src.tobytes(), im_src.tobytes()))
         elif node.spec.kind == "mod_softplus":
-            _, _, safe = node.cache
+            *_, safe = node.cache
             sig.append(safe.tobytes())
     return tuple(sig)
 

@@ -1,12 +1,13 @@
 """Convolution construction vs naive placement/shift oracles, plus gradients."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import FD_TOL, fd_grad, max_rel_err, packed_view, random_complex
-from qocnn import layers
+from qocnn import data, layers, model, training
 
 
 def geometry_oracle(d: int, k: int, s: int) -> tuple[int, int, int]:
@@ -62,6 +63,26 @@ def naive_window_grad_k(x, grad_out, d, k, s) -> np.ndarray:
         gw = grad_out[:, base : base + width]
         g[:width, :width] += xw.conj().T @ gw
     return g
+
+
+def dense_conv_backward(grad_out, x, plan):
+    """Gradients of y = x @ m_f through the dense matrices: grad_x through
+    m_f^H, and the kernel gradient from the prefix and suffix products of the
+    composition matrices, scattered over every placement with np.add.at."""
+    grad_x = grad_out @ plan.m_f.conj().T
+    g_mf = x.conj().T @ grad_out
+    eye = np.eye(plan.d, dtype=np.complex128)
+    grad_k = np.zeros((plan.k, plan.k), dtype=np.complex128)
+    for i, pl in enumerate(plan.placements):
+        prefix = functools.reduce(np.matmul, plan.matrices[:i], eye)
+        suffix = functools.reduce(np.matmul, plan.matrices[i + 1 :], eye)
+        g = prefix.conj().T @ g_mf @ suffix.conj().T
+        np.add.at(grad_k, (pl.ky, pl.kz), g[pl.rows, pl.cols])
+    return grad_x, grad_k
+
+
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
 
 def all_cases(d_max=12, k_max=4):
@@ -243,3 +264,54 @@ class TestConvBackward:
         _, cache = layers.conv_forward(x, plan)
         gx, _ = layers.conv_backward(g, cache)
         np.testing.assert_allclose(gx, g @ plan.m_f.conj().T, atol=1e-12)
+
+
+class TestBlockPathMatchesDense:
+    """The block-wise conv against the dense m_f construction."""
+
+    def test_output_and_gradients_within_1e12_relative(self):
+        rng = np.random.default_rng(11)
+        for d, k, s in [*all_cases(), (392, 4, 2), (20, 5, 2)]:
+            kernel = random_complex(rng, (k, k))
+            plan = layers.build_conv_plan(kernel, d, k, s)
+            x = random_complex(rng, (3, d))
+            g = random_complex(rng, (3, d))
+            y, cache = layers.conv_forward(x, plan)
+            gx, gk = layers.conv_backward(g, cache)
+            dense_gx, dense_gk = dense_conv_backward(g, x, plan)
+            for name, got, want in (
+                ("y", y, x @ plan.m_f),
+                ("grad_x", gx, dense_gx),
+                ("grad_K", gk, dense_gk),
+            ):
+                assert rel_err(got, want) <= 1e-12, f"{name} (d={d}, k={k}, s={s})"
+
+    def test_dense_matrices_built_once_on_first_access(self):
+        rng = np.random.default_rng(12)
+        plan = layers.build_conv_plan(random_complex(rng, (3, 3)), 10, 3, 2)
+        assert "matrices" not in vars(plan) and "m_f" not in vars(plan)
+        assert plan.m_f is plan.m_f
+        assert plan.matrices is plan.matrices
+
+
+class TestHotPathIsBlockWise:
+    def test_train_and_predict_never_build_a_dense_matrix(self, monkeypatch):
+        def forbidden(plan):
+            raise AssertionError("a dense d x d conv matrix was built")
+
+        monkeypatch.setattr(layers.ConvPlan, "matrices", property(forbidden))
+        monkeypatch.setattr(layers.ConvPlan, "m_f", property(forbidden))
+        rng = np.random.default_rng(13)
+        m = model.new_model("qocnn", seed=0)
+        n = 300  # two predict chunks, the second one short
+        ds = data.Dataset(
+            re=rng.uniform(size=(n, 392)),
+            im=rng.uniform(size=(n, 392)),
+            labels=rng.integers(0, 10, n),
+            split="test",
+        )
+        batch = data.Batch(x=ds.re[:64] + 1j * ds.im[:64], labels=ds.labels[:64])
+        _, tape = training.forward_loss(m, batch)
+        grads = training.backward(m, tape)
+        assert grads[0]["K"].shape == (4, 4)
+        assert training.predict_log_probs(m, ds).shape == (n, 10)

@@ -17,6 +17,11 @@ def loss_weights(rng, shape, complex_out=True):
     return a, b
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def scalar_loss(y, a, b=None):
     if np.iscomplexobj(y):
         return float((a * y.real + b * y.imag).sum())
@@ -180,6 +185,27 @@ class TestModSoftplus:
 
         assert max_rel_err(packed_view(gx), fd_grad(loss, x)) < FD_TOL
 
+    def test_backward_matches_recomputing_oracle_bitwise(self):
+        def recomputing_backward(grad_out, x):
+            """The backward that recomputes softplus of the guarded modulus."""
+            r = np.abs(x)
+            safe = r >= layers.MOD_SOFTPLUS_ZERO_TOL
+            r = np.where(safe, r, 1.0)
+            f = np.logaddexp(0.0, r)
+            fp = 1.0 / (1.0 + np.exp(-r))
+            dot = x.real * grad_out.real + x.imag * grad_out.imag
+            grad = (f / r) * grad_out + ((fp * r - f) / r**3) * dot * x
+            return np.where(safe, grad, 0.0)
+
+        rng = np.random.default_rng(30)
+        x = random_complex(rng, (64, 128)) * rng.choice([1e-3, 1.0, 30.0], (64, 128))
+        x[0, :4] = [0.0, 1e-13, 1e-13j, -3e-13 + 2e-13j]  # zero-guard entries
+        x[1, 0] = layers.MOD_SOFTPLUS_ZERO_TOL
+        g = random_complex(rng, (64, 128))
+        _, cache = layers.mod_softplus_forward(x)
+        assert not cache[-1][0, :4].any()
+        assert same_bits(layers.mod_softplus_backward(g, cache), recomputing_backward(g, x))
+
     def test_backward_zero_branch(self):
         x = np.zeros((1, 2), dtype=np.complex128)
         _, cache = layers.mod_softplus_forward(x)
@@ -304,6 +330,27 @@ class TestSplitMaxPool:
             assert (g.real != 0).sum() == 1
             assert (g.imag != 0).sum() == 1
             assert g.real.sum() == 1.0 and g.imag.sum() == 1.0
+
+    def test_backward_matches_add_at_oracle_bitwise(self):
+        def add_at_backward(grad_out, cache):
+            shape, re_src, im_src = cache
+            rows = np.arange(shape[0])[:, None]
+            grad_re = np.zeros(shape, dtype=np.float64)
+            grad_im = np.zeros(shape, dtype=np.float64)
+            np.add.at(grad_re, (rows, re_src), grad_out.real)
+            np.add.at(grad_im, (rows, im_src), grad_out.imag)
+            return grad_re + 1j * grad_im
+
+        rng = np.random.default_rng(31)
+        for w, p in [(2, 2), (3, 1), (3, 2), (2, 3), (1, 1), (5, 2)]:
+            for b in (64, 13, 1):  # a full batch, a short last batch, one row
+                # few distinct values, so many windows have tied maxima
+                x = rng.integers(-2, 3, (b, 40)) + 1j * rng.integers(-2, 3, (b, 40))
+                _, cache = layers.split_max_pool_forward(x, w, p)
+                g = random_complex(rng, (b, layers.pooled_len(40, w, p)))
+                assert same_bits(
+                    layers.split_max_pool_backward(g, cache), add_at_backward(g, cache)
+                ), f"w={w}, p={p}, b={b}"
 
     def test_backward_vs_finite_differences_tie_free(self):
         rng = np.random.default_rng(16)

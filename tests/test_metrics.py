@@ -190,7 +190,42 @@ def auc_by_threshold_enumeration(s, pos) -> float:
     return auc
 
 
+def roc_by_threshold_loop(scores, labels, c):
+    """The sweep with one full pass over the samples per threshold."""
+    s = scores[:, c]
+    pos = labels == c
+    n_pos = int(pos.sum())
+    n_neg = int(labels.shape[0] - n_pos)
+    thresholds = np.concatenate(([np.inf], np.unique(s)[::-1], [-np.inf]))
+    fpr = np.empty(thresholds.shape[0])
+    tpr = np.empty(thresholds.shape[0])
+    for i, t in enumerate(thresholds):
+        predicted = s >= t
+        tpr[i] = (predicted & pos).sum() / n_pos
+        fpr[i] = (predicted & ~pos).sum() / n_neg
+    auc = float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
+    return thresholds, fpr, tpr, auc
+
+
 class TestRocCurve:
+    def test_matches_loop_oracle_bitwise(self):
+        rng = np.random.default_rng(14)
+        for trial in range(4):
+            n = 2000
+            labels = rng.integers(0, 10, n)
+            scores = rng.dirichlet(np.ones(10), n)
+            if trial % 2:
+                scores = np.round(scores, 2)  # heavy ties
+            if trial == 3:
+                scores[:5, 0] = [np.nan, np.inf, -np.inf, np.nan, 0.5]
+            for c in range(10):
+                curve = roc_curve(scores, labels, c)
+                thresholds, fpr, tpr, auc = roc_by_threshold_loop(scores, labels, c)
+                assert curve.thresholds.tobytes() == thresholds.tobytes()
+                assert curve.fpr.tobytes() == fpr.tobytes()
+                assert curve.tpr.tobytes() == tpr.tobytes()
+                assert curve.auc == auc
+
     def test_hand_case_auc(self):
         scores, labels = two_class_scores([0.9, 0.4], [0.6, 0.1])
         curve = roc_curve(scores, labels, c=1)
