@@ -161,6 +161,14 @@ class Dataset:
     def __len__(self) -> int:
         return self.re.shape[0]
 
+    def complex_rows(self, rows) -> np.ndarray:
+        """The selected rows (an index array or a slice) as complex128 inputs."""
+        re = self.re[rows]
+        x = np.empty(re.shape, dtype=np.complex128)
+        x.real = re
+        x.imag = self.im[rows]
+        return x
+
     def __getitem__(self, i: int) -> FoldedInput:
         return FoldedInput(
             vec=ComplexVector(self.re[i].copy(), self.im[i].copy()),
@@ -204,4 +212,4 @@ def batch_iter(ds: Dataset, batch_size: int, seed: int) -> Iterator[Batch]:
     order = np.random.default_rng(seed).permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start : start + batch_size]
-        yield Batch(x=ds.re[idx] + 1j * ds.im[idx], labels=ds.labels[idx])
+        yield Batch(x=ds.complex_rows(idx), labels=ds.labels[idx])

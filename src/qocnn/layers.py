@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 LAYER_KINDS = (
     "complex_linear",
@@ -125,6 +124,14 @@ class TapeNode:
     consumed: bool = False
 
 
+def _float_view(z: np.ndarray) -> np.ndarray:
+    """Interleaved re/im float64 view of complex rows: (b, n) -> (b, 2n).
+
+    Copies only when the rows are not contiguous (or z is not complex128).
+    """
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+
+
 def _require_batch(x: np.ndarray, dim: int, kind: str) -> None:
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(
@@ -160,20 +167,24 @@ def complex_linear_backward(
 
 
 def sinusoid_forward(x: np.ndarray, lam: float) -> tuple[np.ndarray, tuple]:
-    """t -> t*sin(lam*t) applied independently to every real component."""
+    """t -> t*sin(lam*t) applied independently to every real component.
+
+    Acts on the interleaved float view; lam*t and its sine stay on the tape.
+    """
     if lam <= 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    re, im = x.real, x.imag
-    y = re * np.sin(lam * re) + 1j * (im * np.sin(lam * im))
-    return y, (x, lam)
+    xf = _float_view(x)
+    t = lam * xf
+    sin_t = np.sin(t)
+    return (xf * sin_t).view(np.complex128), (t, sin_t)
 
 
 def sinusoid_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    x, lam = cache
-    re, im = x.real, x.imag
-    dre = np.sin(lam * re) + lam * re * np.cos(lam * re)
-    dim = np.sin(lam * im) + lam * im * np.cos(lam * im)
-    return grad_out.real * dre + 1j * (grad_out.imag * dim)
+    t, sin_t = cache
+    d = t * np.cos(t)
+    d += sin_t
+    d *= _float_view(grad_out)
+    return d.view(np.complex128)
 
 
 def mod_softplus_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -341,8 +352,13 @@ def _to_blocks(a: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
     how the dense matrices drop the entries of partial kernels.
     """
     b, shift, width = a.shape[0], i * plan.s, plan.n * plan.s
-    padded = np.zeros((b, plan.k_tot * width), dtype=a.dtype)
-    padded[:, : plan.d - shift] = a[:, shift:]
+    keep = plan.d - shift
+    if keep == plan.k_tot * width:  # no shift, no padding: the row itself
+        padded = a
+    else:
+        padded = np.empty((b, plan.k_tot * width), dtype=a.dtype)
+        padded[:, :keep] = a[:, shift:]
+        padded[:, keep:] = 0
     return padded.reshape(b, plan.k_tot, width)[:, :, : plan.k].reshape(-1, plan.k)
 
 
@@ -351,10 +367,18 @@ def _from_blocks(blocks: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
     with the indices no block of M_i covers left at zero."""
     shift, width = i * plan.s, plan.n * plan.s
     b = blocks.shape[0] // plan.k_tot
-    padded = np.zeros((b, plan.k_tot, width), dtype=blocks.dtype)
-    padded[:, :, : plan.k] = blocks.reshape(b, plan.k_tot, plan.k)
-    out = np.zeros((b, plan.d), dtype=blocks.dtype)
-    out[:, shift:] = padded.reshape(b, -1)[:, : plan.d - shift]
+    if width == plan.k:  # blocks tile the padded row
+        row = blocks.reshape(b, -1)
+    else:
+        padded = np.empty((b, plan.k_tot, width), dtype=blocks.dtype)
+        padded[:, :, : plan.k] = blocks.reshape(b, plan.k_tot, plan.k)
+        padded[:, :, plan.k :] = 0
+        row = padded.reshape(b, -1)
+    if shift == 0:
+        return row[:, : plan.d]
+    out = np.empty((b, plan.d), dtype=blocks.dtype)
+    out[:, :shift] = 0
+    out[:, shift:] = row[:, : plan.d - shift]
     return out
 
 
@@ -388,12 +412,36 @@ def conv_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
 # split max pooling
 
 
-def _pool_half(a: np.ndarray, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    out_len = pooled_len(a.shape[1], w, p)
-    windows = sliding_window_view(a, w, axis=1)[:, ::p, :]
-    arg = windows.argmax(axis=2)
-    src = np.arange(out_len)[None, :] * p + arg
-    return np.take_along_axis(a, src, axis=1), src
+def _window_argmax(a: np.ndarray, w: int, p: int) -> np.ndarray:
+    """Column of each pooling window's maximum in the rows of a, as np.argmax
+    picks it: ties go to the lowest index and the first NaN wins.
+
+    Entry j of every window is one strided slice of a; it takes over where
+    it is strictly larger than the best so far, or NaN while that is not.
+    """
+    starts = np.arange(0, a.shape[1] - w + 1, p)
+    span = starts[-1] + 1
+    best = a[:, :span:p]
+    src = np.broadcast_to(starts, best.shape)
+    for j in range(1, w):
+        cand = a[:, j : j + span : p]
+        better = ~((cand <= best) | np.isnan(best))
+        src = src + better if j == 1 else np.where(better, starts + j, src)
+        if j < w - 1:
+            best = np.maximum(best, cand)
+    return np.ascontiguousarray(src)
+
+
+def _pool_slots(re_src: np.ndarray, im_src: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices row*2n + 2*src + half of the pooled entries in the (b, 2n)
+    interleaved float view, with the re and im of each output adjacent."""
+    b, m = re_src.shape
+    slots = np.empty((b, 2 * m), dtype=np.intp)
+    slots[:, 0::2] = re_src
+    slots[:, 1::2] = im_src
+    slots *= 2
+    slots += np.arange(b)[:, None] * (2 * n) + np.arange(2 * m) % 2
+    return slots
 
 
 def split_max_pool_forward(
@@ -401,7 +449,9 @@ def split_max_pool_forward(
 ) -> tuple[np.ndarray, tuple]:
     """1-D max pooling applied independently to the real and imaginary halves.
 
-    Per window the argmax index is cached; ties resolve to the lowest index.
+    Per window the argmax index is cached; ties resolve to the lowest index
+    and the first NaN wins.  One gather from the interleaved float view reads
+    both halves, so a non-finite value never reaches the other half.
     """
     if w < 1 or p < 1:
         raise ValueError("pooling window and stride must be >= 1")
@@ -410,26 +460,26 @@ def split_max_pool_forward(
             f"pooling window {w} exceeds input length "
             f"{x.shape[1] if x.ndim == 2 else '?'}"
         )
-    re_vals, re_src = _pool_half(np.ascontiguousarray(x.real), w, p)
-    im_vals, im_src = _pool_half(np.ascontiguousarray(x.imag), w, p)
-    return re_vals + 1j * im_vals, (x.shape, re_src, im_src)
+    xf = _float_view(x)
+    re_src = _window_argmax(xf[:, 0::2], w, p)
+    im_src = _window_argmax(xf[:, 1::2], w, p)
+    y = np.take(xf, _pool_slots(re_src, im_src, x.shape[1])).view(np.complex128)
+    return y, (x.shape, re_src, im_src)
 
 
 def split_max_pool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
-    """Each output's gradient goes to its window's argmax slot.  bincount over
-    the flat slots row*n + src adds the outputs in row-major order, the same
-    sums np.add.at would form, so overlapping windows (p < w) agree bit for bit.
+    """Each output's gradient goes to its window's argmax slot.  One bincount
+    over the interleaved slots adds the outputs in row-major order, the same
+    sums np.add.at would form on each half, so overlapping windows (p < w)
+    agree bit for bit.
     """
     shape, re_src, im_src = cache
-    rows = np.arange(shape[0])[:, None] * shape[1]
-    size = shape[0] * shape[1]
-    grad_re = np.bincount(
-        (rows + re_src).ravel(), weights=grad_out.real.ravel(), minlength=size
+    grad = np.bincount(
+        _pool_slots(re_src, im_src, shape[1]).ravel(),
+        weights=_float_view(grad_out).ravel(),
+        minlength=2 * shape[0] * shape[1],
     )
-    grad_im = np.bincount(
-        (rows + im_src).ravel(), weights=grad_out.imag.ravel(), minlength=size
-    )
-    return (grad_re + 1j * grad_im).reshape(shape)
+    return grad.view(np.complex128).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,8 @@ def confusion(preds, labels, n_classes: int = N_CLASSES) -> ConfusionMatrix:
     for name, a in (("preds", preds), ("labels", labels)):
         if a.size and (a.min() < 0 or a.max() >= n_classes):
             raise ValueError(f"{name} must lie in 0..{n_classes - 1}")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (labels, preds), 1)
-    return ConfusionMatrix(counts)
+    counts = np.bincount(labels * n_classes + preds, minlength=n_classes * n_classes)
+    return ConfusionMatrix(counts.reshape(n_classes, n_classes))
 
 
 def binary_counts(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:
@@ -194,10 +193,11 @@ def confusion_csv(cm: ConfusionMatrix) -> str:
 
 
 def roc_csv(curve: RocCurve) -> str:
-    lines = ["threshold,fpr,tpr"]
-    for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr):
-        lines.append(f"{t:.10g},{f:.10g},{r:.10g}")
-    return "\n".join(lines) + "\n"
+    # %-formatting of Python floats, one call per row, is the same text as
+    # an f-string per numpy scalar at about half the cost
+    rows = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
+    body = "".join("%.10g,%.10g,%.10g\n" % row for row in rows)
+    return "threshold,fpr,tpr\n" + body
 
 
 def auc_summary_csv(curves: list[RocCurve]) -> str:

@@ -60,13 +60,6 @@ class ModelGraph:
         """Count of real trainable parameters (re and im counted separately)."""
         return sum(2 * arr.size for p in self.params for arr in p.values())
 
-    def param_views(self) -> list[dict[str, np.ndarray]]:
-        """float64 views of every parameter array, interleaved re/im."""
-        return [
-            {name: arr.view(np.float64) for name, arr in p.items()}
-            for p in self.params
-        ]
-
     def copy(self) -> "ModelGraph":
         return ModelGraph(
             arch=self.arch,

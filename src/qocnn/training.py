@@ -218,7 +218,7 @@ def predict_log_probs(
     """Log probabilities for a whole dataset, computed in order."""
     out = np.empty((len(ds), model.out_dim), dtype=np.float64)
     for start in range(0, len(ds), batch_size):
-        x = ds.re[start : start + batch_size] + 1j * ds.im[start : start + batch_size]
+        x = ds.complex_rows(slice(start, start + batch_size))
         out[start : start + x.shape[0]], _ = model_forward(model, x)
     return out
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: finite-difference helpers, synthetic IDX data, tiny models."""
+"""Shared fixtures: finite-difference helpers, synthetic IDX data, tiny models,
+and the earlier complex-rebuilding code paths kept as oracles."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from qocnn import data, model as model_mod
+from qocnn import data, layers, model as model_mod, training
 
 FD_EPS = 1e-5
 FD_TOL = 1e-4
@@ -162,3 +164,94 @@ def tiny_batch(model: model_mod.ModelGraph, seed: int = 1, n: int = 4) -> data.B
     x = random_complex(rng, (n, model.in_dim))
     labels = rng.integers(0, model.out_dim, size=n)
     return data.Batch(x=x, labels=labels)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the code paths that rebuilt complex arrays as re + 1j*im, before
+# the layers moved to the interleaved float view.  Each matches its
+# replacement bit for bit on finite data.
+
+
+def pool_half_oracle(a: np.ndarray, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and argmax of every window of one real half, via np.argmax."""
+    out_len = layers.pooled_len(a.shape[1], w, p)
+    windows = sliding_window_view(a, w, axis=1)[:, ::p, :]
+    src = np.arange(out_len)[None, :] * p + windows.argmax(axis=2)
+    return np.take_along_axis(a, src, axis=1), src
+
+
+def pool_forward_oracle(x: np.ndarray, w: int, p: int) -> tuple[np.ndarray, tuple]:
+    re_vals, re_src = pool_half_oracle(np.ascontiguousarray(x.real), w, p)
+    im_vals, im_src = pool_half_oracle(np.ascontiguousarray(x.imag), w, p)
+    return re_vals + 1j * im_vals, (x.shape, re_src, im_src)
+
+
+def pool_backward_oracle(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
+    shape, re_src, im_src = cache
+    rows = np.arange(shape[0])[:, None] * shape[1]
+    size = shape[0] * shape[1]
+    grad_re = np.bincount(
+        (rows + re_src).ravel(), weights=grad_out.real.ravel(), minlength=size
+    )
+    grad_im = np.bincount(
+        (rows + im_src).ravel(), weights=grad_out.imag.ravel(), minlength=size
+    )
+    return (grad_re + 1j * grad_im).reshape(shape)
+
+
+def sinusoid_forward_oracle(x: np.ndarray, lam: float) -> tuple[np.ndarray, tuple]:
+    re, im = x.real, x.imag
+    return re * np.sin(lam * re) + 1j * (im * np.sin(lam * im)), (x, lam)
+
+
+def sinusoid_backward_oracle(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
+    x, lam = cache
+    re, im = x.real, x.imag
+    dre = np.sin(lam * re) + lam * re * np.cos(lam * re)
+    dim = np.sin(lam * im) + lam * im * np.cos(lam * im)
+    return grad_out.real * dre + 1j * (grad_out.imag * dim)
+
+
+def to_blocks_oracle(a: np.ndarray, plan, i: int) -> np.ndarray:
+    b, shift, width = a.shape[0], i * plan.s, plan.n * plan.s
+    padded = np.zeros((b, plan.k_tot * width), dtype=a.dtype)
+    padded[:, : plan.d - shift] = a[:, shift:]
+    return padded.reshape(b, plan.k_tot, width)[:, :, : plan.k].reshape(-1, plan.k)
+
+
+def from_blocks_oracle(blocks: np.ndarray, plan, i: int) -> np.ndarray:
+    shift, width = i * plan.s, plan.n * plan.s
+    b = blocks.shape[0] // plan.k_tot
+    padded = np.zeros((b, plan.k_tot, width), dtype=blocks.dtype)
+    padded[:, :, : plan.k] = blocks.reshape(b, plan.k_tot, plan.k)
+    out = np.zeros((b, plan.d), dtype=blocks.dtype)
+    out[:, shift:] = padded.reshape(b, -1)[:, : plan.d - shift]
+    return out
+
+
+def batch_iter_oracle(ds: data.Dataset, batch_size: int, seed: int):
+    order = np.random.default_rng(seed).permutation(len(ds))
+    for start in range(0, len(ds), batch_size):
+        idx = order[start : start + batch_size]
+        yield data.Batch(x=ds.re[idx] + 1j * ds.im[idx], labels=ds.labels[idx])
+
+
+def predict_log_probs_oracle(model, ds: data.Dataset, batch_size: int = 256):
+    out = np.empty((len(ds), model.out_dim), dtype=np.float64)
+    for start in range(0, len(ds), batch_size):
+        x = ds.re[start : start + batch_size] + 1j * ds.im[start : start + batch_size]
+        out[start : start + x.shape[0]], _ = model_mod.model_forward(model, x)
+    return out
+
+
+# (module, attribute, oracle) for every path the oracles above replace
+HOT_PATH_ORACLES = (
+    (layers, "split_max_pool_forward", pool_forward_oracle),
+    (layers, "split_max_pool_backward", pool_backward_oracle),
+    (layers, "sinusoid_forward", sinusoid_forward_oracle),
+    (layers, "sinusoid_backward", sinusoid_backward_oracle),
+    (layers, "_to_blocks", to_blocks_oracle),
+    (layers, "_from_blocks", from_blocks_oracle),
+    (data, "batch_iter", batch_iter_oracle),
+    (training, "predict_log_probs", predict_log_probs_oracle),
+)

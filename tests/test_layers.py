@@ -1,11 +1,21 @@
 """Layer forward semantics against scalar oracles; backward vs finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import FD_TOL, fd_grad, max_rel_err, packed_view, random_complex
+from conftest import (
+    FD_TOL,
+    fd_grad,
+    max_rel_err,
+    packed_view,
+    pool_half_oracle,
+    random_complex,
+    sinusoid_backward_oracle,
+    sinusoid_forward_oracle,
+)
 from qocnn import layers
 from qocnn.layers import LayerSpec, layer_backward, layer_forward
 
@@ -20,6 +30,14 @@ def loss_weights(rng, shape, complex_out=True):
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def complex_from(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i*im with each half copied as is, non-finite values included."""
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
 
 
 def scalar_loss(y, a, b=None):
@@ -142,6 +160,38 @@ class TestSinusoid:
             return scalar_loss(y, a, b)
 
         assert max_rel_err(packed_view(gx), fd_grad(loss, x)) < FD_TOL
+
+    def test_matches_complex_rebuild_oracle_bitwise(self):
+        rng = np.random.default_rng(41)
+        for shape in [(64, 64), (13, 128), (1, 5)]:
+            x = 5.0 * random_complex(rng, shape)
+            g = random_complex(rng, shape)
+            y, cache = layers.sinusoid_forward(x, 0.2)
+            y_ref, cache_ref = sinusoid_forward_oracle(x, 0.2)
+            assert same_bits(y, y_ref), shape
+            assert same_bits(
+                layers.sinusoid_backward(g, cache),
+                sinusoid_backward_oracle(g, cache_ref),
+            ), shape
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_stays_in_its_half(self, bad):
+        finite = np.array([[0.5, -1.5, 3.0]])
+        other = np.array([[bad, 0.25, bad]])
+        zero = np.zeros_like(finite)
+        alone, cache = layers.sinusoid_forward(complex_from(finite, zero), 0.2)
+        g_alone = layers.sinusoid_backward(complex_from(finite, zero), cache)
+        with np.errstate(invalid="ignore"):
+            for re, im, half in [(finite, other, "real"), (other, finite, "imag")]:
+                # a non-finite input in the other half
+                y, cache = layers.sinusoid_forward(complex_from(re, im), 0.2)
+                assert same_bits(getattr(y, half), alone.real)
+                g = layers.sinusoid_backward(complex_from(finite, finite), cache)
+                assert same_bits(getattr(g, half), g_alone.real)
+                # a non-finite gradient in the other half, on a finite input
+                _, cache = layers.sinusoid_forward(complex_from(finite, finite), 0.2)
+                g = layers.sinusoid_backward(complex_from(re, im), cache)
+                assert same_bits(getattr(g, half), g_alone.real)
 
 
 class TestModSoftplus:
@@ -342,7 +392,7 @@ class TestSplitMaxPool:
             return grad_re + 1j * grad_im
 
         rng = np.random.default_rng(31)
-        for w, p in [(2, 2), (3, 1), (3, 2), (2, 3), (1, 1), (5, 2)]:
+        for w, p in [(2, 2), (3, 1), (3, 2), (2, 3), (1, 1), (5, 2), (4, 3)]:
             for b in (64, 13, 1):  # a full batch, a short last batch, one row
                 # few distinct values, so many windows have tied maxima
                 x = rng.integers(-2, 3, (b, 40)) + 1j * rng.integers(-2, 3, (b, 40))
@@ -351,6 +401,47 @@ class TestSplitMaxPool:
                 assert same_bits(
                     layers.split_max_pool_backward(g, cache), add_at_backward(g, cache)
                 ), f"w={w}, p={p}, b={b}"
+
+    def test_forward_matches_argmax_oracle(self):
+        rng = np.random.default_rng(42)
+        for w, p in [(2, 2), (2, 1), (3, 1), (3, 2), (1, 1), (4, 3), (5, 5)]:
+            for b in (64, 13, 1):  # a full batch, a short last batch, one row
+                # few distinct values, so many windows have tied maxima
+                re = rng.integers(-2, 3, (b, 40)).astype(np.float64)
+                im = rng.integers(-2, 3, (b, 40)).astype(np.float64)
+                re[rng.random((b, 40)) < 0.05] = np.nan  # the first NaN wins
+                im[rng.random((b, 40)) < 0.05] = np.nan
+                wide = complex_from(np.repeat(re, 2, axis=1), np.repeat(im, 2, axis=1))
+                re_vals, re_src = pool_half_oracle(re, w, p)
+                im_vals, im_src = pool_half_oracle(im, w, p)
+                for x in (complex_from(re, im), wide[:, ::2]):  # and non-contiguous
+                    y, cache = layers.split_max_pool_forward(x, w, p)
+                    shape, got_re_src, got_im_src = cache
+                    case = f"w={w}, p={p}, b={b}, contiguous={x.flags.c_contiguous}"
+                    assert shape == x.shape, case
+                    assert same_bits(got_re_src, re_src), case
+                    assert same_bits(got_im_src, im_src), case
+                    assert same_bits(y.real, re_vals), case
+                    assert same_bits(y.imag, im_vals), case
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_stays_in_its_half(self, bad):
+        finite = np.array([[1.0, 0.5, -2.0, 3.0]])
+        other = np.array([[bad, 0.2, 0.7, bad]])
+        zero = np.zeros_like(finite)
+        alone, cache = layers.split_max_pool_forward(complex_from(finite, zero), 2, 2)
+        g_alone = layers.split_max_pool_backward(
+            complex_from(finite[:, :2], zero[:, :2]), cache
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for re, im, half in [(finite, other, "real"), (other, finite, "imag")]:
+                y, cache = layers.split_max_pool_forward(complex_from(re, im), 2, 2)
+                assert same_bits(getattr(y, half), alone.real)
+                g = layers.split_max_pool_backward(
+                    complex_from(re[:, :2], im[:, :2]), cache
+                )
+                assert same_bits(getattr(g, half), g_alone.real)
 
     def test_backward_vs_finite_differences_tie_free(self):
         rng = np.random.default_rng(16)

@@ -81,6 +81,27 @@ class TestConfusion:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array([[1, -1], [0, 2]]))
 
+    def test_matches_add_at_oracle(self):
+        def add_at_confusion(preds, labels, n):
+            counts = np.zeros((n, n), dtype=np.int64)
+            rows, cols = np.asarray(labels, np.int64), np.asarray(preds, np.int64)
+            np.add.at(counts, (rows, cols), 1)
+            return counts
+
+        rng = np.random.default_rng(3)
+        cases = [
+            (rng.integers(0, 10, 1000), rng.integers(0, 10, 1000), 10),
+            (rng.integers(0, 3, 200), rng.integers(5, 10, 200), 10),  # empty classes
+            ([7], [2], 10),  # one sample
+            ([], [], 10),
+            (rng.integers(0, 4, 50), rng.integers(0, 4, 50), 4),
+        ]
+        for preds, labels, n in cases:
+            cm = confusion(preds, labels, n_classes=n)
+            want = add_at_confusion(preds, labels, n)
+            assert cm.counts.dtype == np.int64
+            np.testing.assert_array_equal(cm.counts, want)
+
 
 class TestBinaryCounts:
     def test_diagonal_has_no_errors(self):
@@ -317,7 +338,44 @@ class TestEvalReport:
             assert f"class {c}:" in text
 
 
+def roc_csv_oracle(curve) -> str:
+    """The renderer that formatted numpy scalars one f-string at a time."""
+    lines = ["threshold,fpr,tpr"]
+    for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr):
+        lines.append(f"{t:.10g},{f:.10g},{r:.10g}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvRenderings:
+    def test_roc_csv_matches_fstring_oracle_bytewise(self):
+        rng = np.random.default_rng(15)
+        n = 600
+        labels = rng.integers(0, 10, n)
+        scores = rng.random((n, 10))
+        scores[rng.random((n, 10)) < 0.02] = np.nan
+        scores[:40] = np.round(scores[:40], 1)  # tied scores
+        scores[40:60, 3] = 5e-324 * rng.integers(1, 1000, 20)  # subnormals
+        scores[60:70, 4] = -0.0
+        scores[70:75, 5] = np.inf
+        scores[75:80, 5] = -np.inf
+        curves = [roc_curve(scores, labels, c) for c in range(10)]
+        curves.append(
+            metrics.RocCurve(
+                class_id=0,
+                thresholds=np.array(
+                    [np.inf, 1e300, 1.0 / 3.0, 2.2250738585072014e-308, -0.0, -np.inf]
+                ),
+                fpr=np.array([0.0, 1e-17, 0.123456789012345, 0.5, np.nan, 1.0]),
+                tpr=np.array([0.0, 0.1, 0.2, 2.0 / 3.0, 0.99999999999, 1.0]),
+                auc=0.5,
+            )
+        )
+        for curve in curves:
+            got = metrics.roc_csv(curve)
+            assert got.encode() == roc_csv_oracle(curve).encode()
+            assert got.splitlines()[1].startswith("inf,")
+            assert got.splitlines()[-1].startswith("-inf,")
+
     def test_confusion_csv_shape(self):
         rng = np.random.default_rng(14)
         cm = confusion(rng.integers(0, 10, 100), rng.integers(0, 10, 100))

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_complex, synthetic_images, tiny_batch, tiny_model
+from conftest import (
+    HOT_PATH_ORACLES,
+    random_complex,
+    synthetic_images,
+    tiny_batch,
+    tiny_model,
+)
 from qocnn import data, layers, model as model_mod, training
 from qocnn.data import Batch, Dataset
 from qocnn.model import ModelGraph
@@ -307,6 +313,29 @@ class TestTrainLoop:
         assert s1 == training.epoch_seed(0, 1)
         assert s1 != training.epoch_seed(0, 2)
         assert s1 != training.epoch_seed(1, 1)
+
+
+class TestHotPathMatchesOracles:
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    def test_seeded_epoch_matches_complex_rebuild_oracles(
+        self, arch, synth_datasets, monkeypatch
+    ):
+        """One seeded epoch on 512 rows gives the same parameter and log-prob
+        bytes with the interleaved-view layers as with the earlier paths."""
+        train_ds, test_ds = synth_datasets
+        config = TrainConfig(epochs=1, seed=9)
+
+        def run():
+            m = model_mod.new_model(arch, seed=4)
+            _, history = training.train(m, train_ds, test_ds, config)
+            params = b"".join(p[name].tobytes() for p in m.params for name in sorted(p))
+            log_probs = training.predict_log_probs(m, test_ds)
+            return params, history.rows(), log_probs.tobytes()
+
+        new = run()
+        for module, attr, oracle in HOT_PATH_ORACLES:
+            monkeypatch.setattr(module, attr, oracle)
+        assert run() == new
 
 
 class TestCheckpoints:
