@@ -189,6 +189,14 @@ def _require_files(eff: dict, keys: list[str]) -> str | None:
     return None
 
 
+def _out_dir_problem(eff: dict) -> str | None:
+    """Returns an error message if --out-dir names something not a directory."""
+    out_dir = Path(eff["out_dir"])
+    if out_dir.exists() and not out_dir.is_dir():
+        return f"--out-dir {out_dir} exists and is not a directory"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -201,7 +209,7 @@ def cmd_train(args) -> int:
         return EXIT_USAGE
     problem = _require_files(
         eff, ["train_images", "train_labels", "test_images", "test_labels"]
-    )
+    ) or _out_dir_problem(eff)
     if problem:
         _err(problem)
         return EXIT_USAGE
@@ -247,11 +255,15 @@ def cmd_train(args) -> int:
         return EXIT_DIVERGENCE
     out_dir = Path(eff["out_dir"])
     checkpoint = Path(eff["checkpoint"]) if eff["checkpoint"] else out_dir / "model.ckpt"
-    training.save_checkpoint(model, checkpoint)
-    fileio.atomic_write_text(out_dir / "history.csv", history.to_csv())
-    log(f"checkpoint: {checkpoint}")
-    log(f"final test accuracy: {history.test_accuracy[-1]:.4f}")
-    fileio.atomic_write_text(out_dir / "run.log", "\n".join(log_lines) + "\n")
+    try:
+        training.save_checkpoint(model, checkpoint)
+        fileio.atomic_write_text(out_dir / "history.csv", history.to_csv())
+        log(f"checkpoint: {checkpoint}")
+        log(f"final test accuracy: {history.test_accuracy[-1]:.4f}")
+        fileio.atomic_write_text(out_dir / "run.log", "\n".join(log_lines) + "\n")
+    except OSError as exc:
+        _err(f"cannot write outputs: {exc}")
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -261,7 +273,9 @@ def cmd_evaluate(args) -> int:
     except (ValueError, FileNotFoundError) as exc:
         _err(str(exc))
         return EXIT_USAGE
-    problem = _require_files(eff, ["checkpoint", "test_images", "test_labels"])
+    problem = _require_files(
+        eff, ["checkpoint", "test_images", "test_labels"]
+    ) or _out_dir_problem(eff)
     if problem:
         _err(problem)
         return EXIT_USAGE
@@ -288,18 +302,26 @@ def cmd_evaluate(args) -> int:
         return EXIT_CHECKPOINT
     report = metrics.evaluate_predictions(np.exp(log_probs), ds.labels)
     out_dir = Path(eff["out_dir"])
-    fileio.atomic_write_text(out_dir / "confusion.csv", metrics.confusion_csv(report.confusion))
-    for curve in report.roc:
-        fileio.atomic_write_text(
-            out_dir / f"roc_class_{curve.class_id}.csv", metrics.roc_csv(curve)
-        )
-    fileio.atomic_write_text(out_dir / "auc_summary.csv", metrics.auc_summary_csv(report.roc))
     rows = [("accuracy", report.accuracy), ("mcc_macro", report.mcc_macro)]
     rows += [(f"mcc_class_{c}", v) for c, v in enumerate(report.mcc_per_class)]
     metrics_csv = "metric,value\n" + "".join(f"{k},{v:.10g}\n" for k, v in rows)
-    fileio.atomic_write_text(out_dir / "metrics.csv", metrics_csv)
     lines = config_lines("evaluate", eff) + report.summary().splitlines()
-    fileio.atomic_write_text(out_dir / "run.log", "\n".join(lines) + "\n")
+    try:
+        fileio.atomic_write_text(
+            out_dir / "confusion.csv", metrics.confusion_csv(report.confusion)
+        )
+        for curve in report.roc:
+            fileio.atomic_write_text(
+                out_dir / f"roc_class_{curve.class_id}.csv", metrics.roc_csv(curve)
+            )
+        fileio.atomic_write_text(
+            out_dir / "auc_summary.csv", metrics.auc_summary_csv(report.roc)
+        )
+        fileio.atomic_write_text(out_dir / "metrics.csv", metrics_csv)
+        fileio.atomic_write_text(out_dir / "run.log", "\n".join(lines) + "\n")
+    except OSError as exc:
+        _err(f"cannot write outputs: {exc}")
+        return EXIT_USAGE
     print(report.summary())
     return EXIT_OK
 

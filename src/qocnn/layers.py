@@ -35,6 +35,10 @@ LAYER_KINDS = (
 MOD_SOFTPLUS_ZERO_TOL = 1e-12
 
 
+class NonFiniteError(ValueError):
+    """An activation that must be finite holds inf or NaN."""
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Shape and hyperparameters of one layer."""
@@ -154,10 +158,11 @@ def complex_linear_forward(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, tu
 
 
 def complex_linear_backward(
-    grad_out: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, cache: tuple, *, need_input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """G_x = G_y @ M^H (None unless need_input_grad) and G_M = x^H @ G_y."""
     x, m = cache
-    grad_x = grad_out @ m.conj().T
+    grad_x = grad_out @ m.conj().T if need_input_grad else None
     grad_m = x.conj().T @ grad_out
     return grad_x, grad_m
 
@@ -188,11 +193,19 @@ def sinusoid_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 
 
 def mod_softplus_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """softplus on the modulus, phase preserved; exact zeros map to zero."""
+    """softplus on the modulus, phase preserved; exact zeros map to zero.
+
+    softplus(r) = r + log1p(exp(-r)), the formula np.logaddexp(0, r) uses
+    for r > 0, evaluated with numpy's vectorized exp and log1p rather than
+    the scalar libm calls of logaddexp; the two differ by at most one ulp.
+    """
     r = np.abs(x)
     safe = r >= MOD_SOFTPLUS_ZERO_TOL
     r_div = np.where(safe, r, 1.0)
-    f = np.logaddexp(0.0, r)
+    f = np.negative(r)
+    np.exp(f, out=f)
+    np.log1p(f, out=f)
+    np.add(r, f, out=f)
     scale = np.where(safe, f / r_div, 0.0)
     return scale * x, (x, r_div, f, safe)
 
@@ -221,7 +234,7 @@ def log_softmax(v: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax with max subtraction for stability."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
-        raise ValueError("log_softmax requires finite entries")
+        raise NonFiniteError("log_softmax requires finite entries")
     shifted = v - v.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -393,10 +406,13 @@ def conv_forward(x: np.ndarray, plan: ConvPlan) -> tuple[np.ndarray, tuple]:
     return y, (blocks, plan)
 
 
-def conv_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
+def conv_backward(
+    grad_out: np.ndarray, cache: tuple, *, need_input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """The forward's blocks in reverse: the input gradient goes through K^H,
     and the kernel gradient sums block input^H @ block output gradient over
-    all blocks of all composition matrices."""
+    all blocks of all composition matrices.  Without need_input_grad the
+    input gradient of M_1 is never formed and None is returned for it."""
     blocks, plan = cache
     k_h = plan.kernel.conj().T
     grad_k = np.zeros((plan.k, plan.k), dtype=np.complex128)
@@ -404,6 +420,8 @@ def conv_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
     for i in reversed(range(plan.n)):
         g_blocks = _to_blocks(g, plan, i)
         grad_k += blocks[i].conj().T @ g_blocks
+        if i == 0 and not need_input_grad:
+            return None, grad_k
         g = _from_blocks(g_blocks @ k_h, plan, i)
     return g, grad_k
 
@@ -517,9 +535,17 @@ def layer_forward(
 
 
 def layer_backward(
-    spec: LayerSpec, node: TapeNode, grad_out: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Dispatch one backward pass; each tape node may be consumed once."""
+    spec: LayerSpec,
+    node: TapeNode,
+    grad_out: np.ndarray,
+    *,
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    """Dispatch one backward pass; each tape node may be consumed once.
+
+    With need_input_grad=False the input gradient is not computed and None
+    is returned in its place; parameter gradients are unchanged.
+    """
     if node is None:
         raise ValueError("missing tape node")
     if node.consumed:
@@ -529,8 +555,17 @@ def layer_backward(
     node.consumed = True
     kind = spec.kind
     if kind == "complex_linear":
-        grad_x, grad_m = complex_linear_backward(grad_out, node.cache)
+        grad_x, grad_m = complex_linear_backward(
+            grad_out, node.cache, need_input_grad=need_input_grad
+        )
         return grad_x, {"M": grad_m}
+    if kind == "quantum_conv":
+        grad_x, grad_k = conv_backward(
+            grad_out, node.cache, need_input_grad=need_input_grad
+        )
+        return grad_x, {"K": grad_k}
+    if not need_input_grad:  # the other kinds have no parameters
+        return None, {}
     if kind == "sinusoid":
         return sinusoid_backward(grad_out, node.cache), {}
     if kind == "mod_softplus":
@@ -539,9 +574,6 @@ def layer_backward(
         return mod_squared_backward(grad_out, node.cache), {}
     if kind == "log_softmax":
         return log_softmax_backward(grad_out, node.cache), {}
-    if kind == "quantum_conv":
-        grad_x, grad_k = conv_backward(grad_out, node.cache)
-        return grad_x, {"K": grad_k}
     if kind == "split_max_pool":
         return split_max_pool_backward(grad_out, node.cache), {}
     raise ValueError(f"unknown layer kind {kind!r}")

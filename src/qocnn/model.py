@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers
-from .layers import LayerSpec, TapeNode
+from .layers import LayerSpec, NonFiniteError, TapeNode
 
 ARCHITECTURES = ("onn", "qonn", "qocnn")
 
@@ -158,7 +158,8 @@ def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[Ta
         try:
             out, node = layers.layer_forward(spec, p, out)
         except ValueError as exc:
-            raise ValueError(f"layer {i} ({spec.kind}): {exc}") from exc
+            cls = NonFiniteError if isinstance(exc, NonFiniteError) else ValueError
+            raise cls(f"layer {i} ({spec.kind}): {exc}") from exc
         tape.append(node)
     return out, tape
 
@@ -166,7 +167,11 @@ def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[Ta
 def model_backward(
     model: ModelGraph, tape: list[TapeNode], grad_out: np.ndarray
 ) -> list[dict[str, np.ndarray]]:
-    """Reverse sweep; returns one gradient dict per layer (complex packed)."""
+    """Reverse sweep; returns one gradient dict per layer (complex packed).
+
+    Nothing reads the gradient with respect to the input batch, so layer 0
+    is asked for its parameter gradients only.
+    """
     if len(tape) != len(model.specs):
         raise ValueError(
             f"tape has {len(tape)} nodes for {len(model.specs)} layers"
@@ -174,5 +179,7 @@ def model_backward(
     grads: list[dict[str, np.ndarray]] = [None] * len(model.specs)
     g = grad_out
     for i in range(len(model.specs) - 1, -1, -1):
-        g, grads[i] = layers.layer_backward(model.specs[i], tape[i], g)
+        g, grads[i] = layers.layer_backward(
+            model.specs[i], tape[i], g, need_input_grad=i > 0
+        )
     return grads

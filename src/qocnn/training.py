@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data, fileio, model as model_mod
 from .data import Batch, Dataset
-from .layers import LAYER_KINDS, LayerSpec, TapeNode
+from .layers import LAYER_KINDS, LayerSpec, NonFiniteError, TapeNode
 from .model import ARCHITECTURES, ModelGraph, model_backward, model_forward
 
 LOSS_DIVERGENCE_CAP = 10.0 * math.log(10.0)
@@ -240,6 +241,15 @@ def _check_divergence(loss: float, epoch: int, batch_idx: int) -> None:
         )
 
 
+@contextmanager
+def _non_finite_diverges(where: str):
+    """A non-finite activation met in training ends the run as divergence."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise DivergenceError(f"training diverged at {where}: {exc}") from exc
+
+
 def train(
     model: ModelGraph,
     train_ds: Dataset,
@@ -266,14 +276,18 @@ def train(
         for batch_idx, batch in enumerate(
             data.batch_iter(train_ds, config.batch_size, shuffle)
         ):
-            loss, tape = forward_loss(model, batch)
+            with _non_finite_diverges(f"epoch {epoch}, batch {batch_idx}"):
+                loss, tape = forward_loss(model, batch)
             _check_divergence(loss, epoch, batch_idx)
             grads = backward(model, tape)
             opt.step(model, grads)
             total += loss * len(batch)
             count += len(batch)
         train_loss = total / count
-        test_loss, test_acc = evaluate_loss_accuracy(model, test_ds)
+        with _non_finite_diverges(
+            f"epoch {epoch}, in the test pass after batch {batch_idx}"
+        ):
+            test_loss, test_acc = evaluate_loss_accuracy(model, test_ds)
         history.append(epoch, train_loss, test_loss, test_acc)
         if log is not None:
             log(

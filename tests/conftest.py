@@ -244,6 +244,15 @@ def predict_log_probs_oracle(model, ds: data.Dataset, batch_size: int = 256):
     return out
 
 
+def model_backward_oracle(model, tape, grad_out):
+    """The reverse sweep that also forms layer 0's input gradient."""
+    grads = [None] * len(model.specs)
+    g = grad_out
+    for i in range(len(model.specs) - 1, -1, -1):
+        g, grads[i] = layers.layer_backward(model.specs[i], tape[i], g)
+    return grads
+
+
 # (module, attribute, oracle) for every path the oracles above replace
 HOT_PATH_ORACLES = (
     (layers, "split_max_pool_forward", pool_forward_oracle),
@@ -254,4 +263,5 @@ HOT_PATH_ORACLES = (
     (layers, "_from_blocks", from_blocks_oracle),
     (data, "batch_iter", batch_iter_oracle),
     (training, "predict_log_probs", predict_log_probs_oracle),
+    (training, "model_backward", model_backward_oracle),
 )

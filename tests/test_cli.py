@@ -146,6 +146,33 @@ class TestTrain:
         assert code == 3
         assert "diverged" in err
 
+    @pytest.mark.parametrize("arch", ["onn", "qocnn"])
+    def test_non_finite_activation_exits_3(self, arch, synth_idx_files, tmp_path, capsys):
+        extra = ["--arch", arch, "--optimizer", "sgd", "--lr", "1e100", "--epochs", "1"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(train_args(synth_idx_files, tmp_path, extra), capsys)
+        assert code == 3
+        assert err.startswith("error: training diverged at epoch 1, batch 1: layer ")
+        assert "(log_softmax)" in err and len(err.splitlines()) == 1
+
+    def test_out_dir_that_is_a_file_exits_2(self, synth_idx_files, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code, out, err = run(train_args(synth_idx_files, taken), capsys)
+        assert code == 2
+        assert err == f"error: --out-dir {taken} exists and is not a directory\n"
+        assert "epoch" not in out  # refused before training
+        assert taken.read_text() == "not a directory"
+
+    def test_unwritable_checkpoint_exits_2(self, synth_idx_files, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        extra = ["--epochs", "1", "--checkpoint", str(taken / "model.ckpt")]
+        code, _, err = run(train_args(synth_idx_files, tmp_path / "out", extra), capsys)
+        assert code == 2
+        assert err.startswith("error: cannot write outputs: ")
+        assert len(err.splitlines()) == 1
+
     def test_config_file_precedence(self, synth_idx_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -271,6 +298,26 @@ class TestEvaluate:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_that_is_a_file_exits_2(
+        self, below, synth_idx_files, trained_run, tmp_path, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code, _, err = run(
+            [
+                "evaluate",
+                "--checkpoint", str(trained_run / "model.ckpt"),
+                "--test-images", str(synth_idx_files["test_images"]),
+                "--test-labels", str(synth_idx_files["test_labels"]),
+                "--out-dir", str(taken / below),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert taken.read_text() == "not a directory"
 
 
 class TestGradcheckCommand:

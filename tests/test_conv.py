@@ -315,3 +315,40 @@ class TestHotPathIsBlockWise:
         grads = training.backward(m, tape)
         assert grads[0]["K"].shape == (4, 4)
         assert training.predict_log_probs(m, ds).shape == (n, 10)
+
+
+class TestSkippedInputGradient:
+    """need_input_grad=False: no input gradient, the same parameter bytes."""
+
+    @staticmethod
+    def backward_twice(spec, params, x, g):
+        _, node = layers.layer_forward(spec, params, x)
+        full = layers.layer_backward(spec, node, g)
+        _, node = layers.layer_forward(spec, params, x)
+        return full, layers.layer_backward(spec, node, g, need_input_grad=False)
+
+    def test_conv_and_linear_over_all_cases(self):
+        rng = np.random.default_rng(14)
+        for d, k, s in [*all_cases(), (392, 4, 2)]:
+            x = random_complex(rng, (3, d))
+            cases = (
+                (layers.conv_spec(d, k, s), {"K": random_complex(rng, (k, k))}, d),
+                (layers.linear_spec(d, k), {"M": random_complex(rng, (d, k))}, k),
+            )
+            for spec, params, out_dim in cases:
+                g = random_complex(rng, (3, out_dim))
+                (gx, grads), (skipped, grads_skipped) = self.backward_twice(
+                    spec, params, x, g
+                )
+                assert gx.shape == x.shape and skipped is None, (spec, d, k, s)
+                assert grads.keys() == grads_skipped.keys()
+                for name in grads:
+                    assert grads[name].tobytes() == grads_skipped[name].tobytes()
+
+    def test_flag_is_keyword_only(self):
+        rng = np.random.default_rng(15)
+        spec = layers.linear_spec(4, 2)
+        params = {"M": random_complex(rng, (4, 2))}
+        _, node = layers.layer_forward(spec, params, random_complex(rng, (1, 4)))
+        with pytest.raises(TypeError):
+            layers.layer_backward(spec, node, random_complex(rng, (1, 2)), False)

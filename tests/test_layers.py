@@ -237,11 +237,12 @@ class TestModSoftplus:
 
     def test_backward_matches_recomputing_oracle_bitwise(self):
         def recomputing_backward(grad_out, x):
-            """The backward that recomputes softplus of the guarded modulus."""
+            """The backward that recomputes softplus of the guarded modulus,
+            with the forward's formula r + log1p(exp(-r))."""
             r = np.abs(x)
             safe = r >= layers.MOD_SOFTPLUS_ZERO_TOL
             r = np.where(safe, r, 1.0)
-            f = np.logaddexp(0.0, r)
+            f = r + np.log1p(np.exp(-r))
             fp = 1.0 / (1.0 + np.exp(-r))
             dot = x.real * grad_out.real + x.imag * grad_out.imag
             grad = (f / r) * grad_out + ((fp * r - f) / r**3) * dot * x
@@ -261,6 +262,50 @@ class TestModSoftplus:
         _, cache = layers.mod_softplus_forward(x)
         g = layers.mod_softplus_backward(np.ones((1, 2), dtype=np.complex128), cache)
         assert not g.any()
+
+    def test_agrees_with_logaddexp_oracle_within_1e12(self):
+        """Forward and backward against the np.logaddexp(0, r) softplus: every
+        entry within 1e-12 of the oracle's modulus.  Softplus itself has the
+        same bits where r >= 30 or r is inf or NaN, and so have the output and
+        the gradient, which also have them where r is guarded to zero."""
+
+        def logaddexp_forward(x):
+            r = np.abs(x)
+            safe = r >= layers.MOD_SOFTPLUS_ZERO_TOL
+            r_div = np.where(safe, r, 1.0)
+            f = np.logaddexp(0.0, r)
+            return np.where(safe, f / r_div, 0.0) * x, (x, r_div, f, safe)
+
+        rng = np.random.default_rng(31)
+        x = random_complex(rng, (64, 128)) * rng.choice(
+            [1e-12, 1e-3, 1.0, 5.0, 30.0, 1e3], (64, 128)
+        )
+        special = [
+            0.0, 1e-13, 1e-13j, -3e-13 + 2e-13j, 30.0, -30j, 800.0, 800j,
+            np.inf, -np.inf, complex(0, np.inf), np.nan, complex(0, np.nan),
+            complex(np.inf, np.nan),
+        ]
+        x[0, : len(special)] = special
+        x[1, 0] = layers.MOD_SOFTPLUS_ZERO_TOL
+        g = random_complex(rng, (64, 128))
+        with np.errstate(invalid="ignore"):  # inf / inf at r = inf, as before
+            y, cache = layers.mod_softplus_forward(x)
+            y_ref, cache_ref = logaddexp_forward(x)
+            gx = layers.mod_softplus_backward(g, cache)
+            gx_ref = layers.mod_softplus_backward(g, cache_ref)
+        r = np.abs(x)
+        big = (r >= 30) | ~np.isfinite(r)
+        exact = big | (r < layers.MOD_SOFTPLUS_ZERO_TOL)
+        assert exact[0, : len(special)].all()
+        for got, want, same in (
+            (cache[2], cache_ref[2], big),
+            (y, y_ref, exact),
+            (gx, gx_ref, exact),
+        ):
+            assert same_bits(got[same], want[same])
+            got, want = got[~same], want[~same]
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+        assert not same_bits(cache[2], cache_ref[2])  # not the oracle itself
 
 
 class TestModSquared:

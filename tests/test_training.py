@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     HOT_PATH_ORACLES,
+    model_backward_oracle,
     random_complex,
     synthetic_images,
     tiny_batch,
@@ -291,6 +292,25 @@ class TestTrainLoop:
         with pytest.raises(training.DivergenceError, match="epoch"):
             train(small_qonn(seed=4), train_ds, test_ds, cfg)
 
+    @pytest.mark.parametrize("arch", ["onn", "qocnn"])
+    @pytest.mark.parametrize(
+        "batch_size,where",
+        [(32, "epoch 1, batch 1: "), (96, "epoch 1, in the test pass after batch 0: ")],
+    )
+    def test_non_finite_activation_is_divergence(self, arch, batch_size, where):
+        """A step that overflows the parameters ends in DivergenceError, from
+        the next batch or, after the epoch's last step, from the test pass."""
+        train_ds, test_ds = small_datasets()
+        cfg = TrainConfig(
+            epochs=1, batch_size=batch_size, learning_rate=1e100, optimizer="sgd"
+        )
+        model = model_mod.new_model(arch, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(training.DivergenceError) as info:
+                train(model, train_ds, test_ds, cfg)
+        assert str(info.value).startswith(f"training diverged at {where}layer ")
+        assert "(log_softmax): log_softmax requires finite entries" in str(info.value)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -336,6 +356,67 @@ class TestHotPathMatchesOracles:
         for module, attr, oracle in HOT_PATH_ORACLES:
             monkeypatch.setattr(module, attr, oracle)
         assert run() == new
+
+
+class TestBackwardSkipsInputGradient:
+    @staticmethod
+    def default_batch(m, seed):
+        rng = np.random.default_rng(seed)
+        return Batch(
+            x=random_complex(rng, (64, m.in_dim)),
+            labels=rng.integers(0, m.out_dim, 64),
+        )
+
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    def test_gradients_match_the_full_backward_bitwise(self, arch, monkeypatch):
+        m = model_mod.new_model(arch, seed=5)
+        batch = self.default_batch(m, 6)
+        grads = backward(m, forward_loss(m, batch)[1])
+        monkeypatch.setattr(training, "model_backward", model_backward_oracle)
+        want = backward(m, forward_loss(m, batch)[1])
+        for got_p, want_p in zip(grads, want):
+            assert got_p.keys() == want_p.keys()
+            for name in got_p:
+                assert got_p[name].tobytes() == want_p[name].tobytes()
+
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    def test_layer_zero_never_forms_its_input_gradient(self, arch, monkeypatch):
+        """Layer 0 returns None; a linear layer 0 never takes M^H, and the
+        conv's first composition matrix never maps its gradient back."""
+
+        class NoConj(np.ndarray):
+            def conj(self):
+                raise AssertionError("M^H formed for layer 0")
+
+        returned = []
+        layer_backward = layers.layer_backward
+
+        def spy(*args, **kwargs):
+            out = layer_backward(*args, **kwargs)
+            returned.append(out[0])
+            return out
+
+        from_blocks_stages = []
+        from_blocks = layers._from_blocks
+
+        def count_from_blocks(blocks, plan, i):
+            from_blocks_stages.append(i)
+            return from_blocks(blocks, plan, i)
+
+        m = model_mod.new_model(arch, seed=7)
+        _, tape = forward_loss(m, self.default_batch(m, 8))
+        first = tape.nodes[0]
+        if first.spec.kind == "complex_linear":
+            x, m0 = first.cache
+            first.cache = (x, m0.view(NoConj))
+        monkeypatch.setattr(layers, "layer_backward", spy)
+        monkeypatch.setattr(layers, "_from_blocks", count_from_blocks)
+        backward(m, tape)
+        assert returned[-1] is None
+        assert all(g is not None for g in returned[:-1])
+        if arch == "qocnn":  # stages n-1 .. 1 map their gradient back, stage 0 not
+            n = first.cache[1].n
+            assert n > 1 and from_blocks_stages == list(range(n - 1, 0, -1))
 
 
 class TestCheckpoints:
