@@ -201,6 +201,9 @@ def _out_dir_problem(eff: dict) -> str | None:
 # commands
 
 
+# Non-finite values are caught and reported with their exit code, so numpy's
+# overflow and invalid-value warnings would only repeat them on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_train(args) -> int:
     try:
         eff = effective_config(args, TRAIN_DEFAULTS)
@@ -267,6 +270,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_evaluate(args) -> int:
     try:
         eff = effective_config(args, EVALUATE_DEFAULTS)

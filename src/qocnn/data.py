@@ -3,7 +3,8 @@
 A 28x28 image folds into 392 complex numbers: pixel (x, y) of the top half
 becomes the real part and pixel (x+14, y) the imaginary part of entry
 (x, y), flattened row-major over the 14x28 top half.  Pixels are scaled
-into [0, 1] by division by 255.
+into [0, 1] by division by 255.  A split stays as its uint8 pixels; each
+batch is folded when it is read.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-
-from .linalg import ComplexVector
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -81,108 +80,75 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     return load_idx_labels(Path(path).read_bytes())
 
 
-@dataclass
-class RawImage:
-    """One 28x28 grayscale digit with its label."""
-
-    pixels: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels)
-        if self.pixels.shape != (28, 28):
-            raise ValueError(f"pixels must be 28x28, got {self.pixels.shape}")
-        if self.pixels.min() < 0 or self.pixels.max() > 255:
-            raise ValueError("pixel values must lie in [0, 255]")
-        if not 0 <= self.label <= 9:
-            raise ValueError(f"label {self.label} out of range 0..9")
+FOLD = 392  # complex entries per image: 14 rows of 28 pixels per half
 
 
-@dataclass
-class FoldedInput:
-    """Fold-encoded image: 392 complex entries plus the label."""
+def _fold_half(pixels: np.ndarray, half: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One half (0 top, 1 bottom) of each (n, 784) pixel row, scaled into [0, 1].
 
-    vec: ComplexVector
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.vec.n != 392:
-            raise ValueError(f"folded vector must have length 392, got {self.vec.n}")
-        if not 0 <= self.label <= 9:
-            raise ValueError(f"label {self.label} out of range 0..9")
-
-
-def fold_encode(img: RawImage) -> FoldedInput:
-    """Superimpose the bottom half of the image onto the top half.
-
-    Entry (x, y), flattened row-major over x=1..14, y=1..28, has real part
-    pixel(x, y)/255 and imaginary part pixel(x+14, y)/255.
+    The uint8 -> float64 cast is exact and the division correctly rounded.
     """
-    px = img.pixels.astype(np.float64) / 255.0
-    return FoldedInput(
-        vec=ComplexVector(px[:14, :].reshape(392), px[14:, :].reshape(392)),
-        label=img.label,
-    )
-
-
-def fold_decode(folded: FoldedInput) -> RawImage:
-    """Inverse of :func:`fold_encode` for integer-pixel images."""
-    pixels = np.empty((28, 28), dtype=np.uint8)
-    pixels[:14, :] = np.rint(folded.vec.re * 255.0).reshape(14, 28)
-    pixels[14:, :] = np.rint(folded.vec.im * 255.0).reshape(14, 28)
-    return RawImage(pixels=pixels, label=folded.label)
-
-
-def fold_encode_stack(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a (n, 28, 28) pixel stack into (n, 392) re and im arrays."""
-    if images.ndim != 3 or images.shape[1:] != (28, 28):
-        raise ValueError(f"expected (n, 28, 28) pixel stack, got {images.shape}")
-    px = images.astype(np.float64) / 255.0
-    return px[:, :14, :].reshape(-1, 392), px[:, 14:, :].reshape(-1, 392)
+    return np.divide(pixels[:, half * FOLD : (half + 1) * FOLD], 255.0, out=out)
 
 
 @dataclass
 class Dataset:
-    """Fold-encoded split held as stacked arrays; items index as FoldedInput."""
+    """One split held as its uint8 pixels, one (n, 784) row per image.
 
-    re: np.ndarray
-    im: np.ndarray
+    The first 392 bytes of a row are the top 14 image rows (the real part),
+    the last 392 the bottom 14 rows (the imaginary part); batches fold on
+    demand through :meth:`complex_rows`.
+    """
+
+    pixels: np.ndarray
     labels: np.ndarray
     split: str
 
     def __post_init__(self) -> None:
-        if self.re.shape != self.im.shape or self.re.ndim != 2 or self.re.shape[1] != 392:
-            raise ValueError("re and im must both have shape (n, 392)")
-        if self.labels.shape != (self.re.shape[0],):
+        if self.pixels.dtype != np.uint8:
+            raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
+        if self.pixels.ndim != 2 or self.pixels.shape[1] != 2 * FOLD:
+            raise ValueError(f"pixels must have shape (n, 784), got {self.pixels.shape}")
+        if self.labels.shape != (self.pixels.shape[0],):
             raise ValueError("labels must have one entry per item")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
     def __len__(self) -> int:
-        return self.re.shape[0]
+        return self.pixels.shape[0]
 
     def complex_rows(self, rows) -> np.ndarray:
         """The selected rows (an index array or a slice) as complex128 inputs."""
-        re = self.re[rows]
-        x = np.empty(re.shape, dtype=np.complex128)
-        x.real = re
-        x.imag = self.im[rows]
+        px = self.pixels[rows]
+        x = np.empty((px.shape[0], FOLD), dtype=np.complex128)
+        _fold_half(px, 0, out=x.real)
+        _fold_half(px, 1, out=x.imag)
         return x
 
-    def __getitem__(self, i: int) -> FoldedInput:
-        return FoldedInput(
-            vec=ComplexVector(self.re[i].copy(), self.im[i].copy()),
-            label=int(self.labels[i]),
-        )
+    @property
+    def re(self) -> np.ndarray:
+        """Real parts of the whole split, (n, 392) float64, folded on each access."""
+        return _fold_half(self.pixels, 0)
+
+    @property
+    def im(self) -> np.ndarray:
+        """Imaginary parts of the whole split, (n, 392) float64, folded on each access."""
+        return _fold_half(self.pixels, 1)
 
     @classmethod
     def from_arrays(cls, images: np.ndarray, labels: np.ndarray, split: str) -> "Dataset":
+        """A split from a (n, 28, 28) uint8 image stack and its labels."""
+        if images.ndim != 3 or images.shape[1:] != (28, 28):
+            raise ValueError(f"expected (n, 28, 28) pixel stack, got {images.shape}")
         if images.shape[0] != labels.shape[0]:
             raise ValueError(
                 f"{images.shape[0]} images but {labels.shape[0]} labels"
             )
-        re, im = fold_encode_stack(images)
-        return cls(re=re, im=im, labels=labels.astype(np.int64), split=split)
+        return cls(
+            pixels=images.reshape(images.shape[0], 2 * FOLD),
+            labels=labels.astype(np.int64),
+            split=split,
+        )
 
     @classmethod
     def load(cls, images_path: str | Path, labels_path: str | Path, split: str) -> "Dataset":

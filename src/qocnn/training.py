@@ -418,6 +418,15 @@ def load_checkpoint(path) -> ModelGraph:
                 p=p or None,
             )
         )
+    arch = ARCHITECTURES[arch_id]
+    kinds = [spec.kind for spec in specs]
+    # kinds only: the gradient checker's small geometries must still load
+    expected = [spec.kind for spec in model_mod.architecture_specs(arch)]
+    if kinds != expected:
+        raise CheckpointFormatError(
+            f"checkpoint labelled {arch} holds layers {', '.join(kinds)}; "
+            f"{arch} has {', '.join(expected)}"
+        )
     params = []
     for spec in specs:
         shapes = model_mod.param_shapes(spec)
@@ -440,7 +449,7 @@ def load_checkpoint(path) -> ModelGraph:
             f"{len(blob) - r.pos} trailing bytes after checkpoint payload"
         )
     return ModelGraph(
-        arch=ARCHITECTURES[arch_id],
+        arch=arch,
         specs=specs,
         params=params,
         seed=seed,

@@ -2,11 +2,12 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from qocnn import cli, layers, training
+from qocnn import cli, layers, model as model_mod, training
 
 
 def run(argv, capsys):
@@ -40,6 +41,15 @@ def trained_run(synth_idx_files, tmp_path_factory):
     )
     assert code == 0
     return out_dir
+
+
+def relabelled_checkpoint(run_dir, tmp_path, arch):
+    """A copy of the run's checkpoint whose architecture id says `arch`."""
+    blob = bytearray((run_dir / "model.ckpt").read_bytes())
+    blob[8:12] = model_mod.ARCHITECTURES.index(arch).to_bytes(4, "little")
+    path = tmp_path / "relabelled.ckpt"
+    path.write_bytes(bytes(blob))
+    return path
 
 
 class TestEstimate:
@@ -154,6 +164,18 @@ class TestTrain:
         assert code == 3
         assert err.startswith("error: training diverged at epoch 1, batch 1: layer ")
         assert "(log_softmax)" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("arch", ["onn", "qocnn"])
+    def test_non_finite_activation_issues_no_warning(
+        self, arch, synth_idx_files, tmp_path, capsys
+    ):
+        extra = ["--arch", arch, "--optimizer", "sgd", "--lr", "1e100", "--epochs", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(train_args(synth_idx_files, tmp_path, extra), capsys)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: training diverged")
+        assert [str(w.message) for w in caught] == []
 
     def test_out_dir_that_is_a_file_exits_2(self, synth_idx_files, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -287,6 +309,22 @@ class TestEvaluate:
         assert code == 4
         assert "magic" in err
 
+    def test_relabelled_checkpoint_exits_4(self, synth_idx_files, trained_run, tmp_path, capsys):
+        bad = relabelled_checkpoint(trained_run, tmp_path, "onn")
+        code, _, err = run(
+            [
+                "evaluate",
+                "--checkpoint", str(bad),
+                "--test-images", str(synth_idx_files["test_images"]),
+                "--test-labels", str(synth_idx_files["test_labels"]),
+                "--out-dir", str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 4
+        assert err.startswith("error: checkpoint labelled onn holds layers complex_linear, sinusoid")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_exits_2(self, synth_idx_files, tmp_path, capsys):
         code, _, _ = run(
             [
@@ -359,6 +397,14 @@ class TestExport:
             "mod_squared", "log_softmax",
         ]
         assert payload["num_real_params"] == 2 * (392 * 128 + 128 * 10)
+
+    def test_relabelled_checkpoint_exits_4(self, trained_run, tmp_path, capsys):
+        bad = relabelled_checkpoint(trained_run, tmp_path, "onn")
+        out_path = tmp_path / "model.json"
+        code, _, err = run(["export", "--checkpoint", str(bad), "--out", str(out_path)], capsys)
+        assert code == 4
+        assert "labelled onn" in err and "sinusoid" in err
+        assert not out_path.exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["export", "--checkpoint", str(tmp_path / "x.ckpt")], capsys)

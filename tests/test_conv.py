@@ -304,13 +304,12 @@ class TestHotPathIsBlockWise:
         rng = np.random.default_rng(13)
         m = model.new_model("qocnn", seed=0)
         n = 300  # two predict chunks, the second one short
-        ds = data.Dataset(
-            re=rng.uniform(size=(n, 392)),
-            im=rng.uniform(size=(n, 392)),
-            labels=rng.integers(0, 10, n),
+        ds = data.Dataset.from_arrays(
+            rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8),
+            rng.integers(0, 10, n),
             split="test",
         )
-        batch = data.Batch(x=ds.re[:64] + 1j * ds.im[:64], labels=ds.labels[:64])
+        batch = data.Batch(x=ds.complex_rows(slice(0, 64)), labels=ds.labels[:64])
         _, tape = training.forward_loss(m, batch)
         grads = training.backward(m, tape)
         assert grads[0]["K"].shape == (4, 4)

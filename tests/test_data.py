@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_images, write_idx_pair
-from qocnn import data
-from qocnn.data import (
-    Dataset,
-    FoldedInput,
-    IdxFormatError,
-    IdxTruncatedError,
-    RawImage,
-    batch_iter,
-    fold_decode,
-    fold_encode,
-)
+from qocnn import data, metrics, model as model_mod, training
+from qocnn.data import Dataset, IdxFormatError, IdxTruncatedError, batch_iter
 
 
 def image_blob(images: np.ndarray) -> bytes:
@@ -78,54 +69,70 @@ class TestIdxParsing:
         np.testing.assert_array_equal(data.read_idx_labels(lp), labels)
 
 
+def float_fold_oracle(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier eager fold: every pixel of the split cast to float64 at once."""
+    px = images.astype(np.float64) / 255.0
+    return px[:, :14, :].reshape(-1, 392), px[:, 14:, :].reshape(-1, 392)
+
+
+def fold_one(px: np.ndarray) -> np.ndarray:
+    return Dataset.from_arrays(px[None], np.zeros(1, dtype=np.uint8), "train").complex_rows(
+        [0]
+    )[0]
+
+
 class TestFoldEncoding:
     def test_halves_to_re_and_im(self):
         px = np.zeros((28, 28), dtype=np.uint8)
         px[0, 0] = 255  # top half -> real part
         px[14, 0] = 51  # bottom half -> imaginary part
         px[13, 27] = 102
-        folded = fold_encode(RawImage(pixels=px, label=3))
-        assert folded.vec.re[0] == 1.0
-        assert folded.vec.im[0] == pytest.approx(51 / 255)
+        x = fold_one(px)
+        assert x[0].real == 1.0
+        assert x[0].imag == pytest.approx(51 / 255)
         # (row 13, col 27) flattens row-major to index 13*28 + 27
-        assert folded.vec.re[13 * 28 + 27] == pytest.approx(102 / 255)
-        assert folded.label == 3
+        assert x[13 * 28 + 27].real == pytest.approx(102 / 255)
 
     def test_values_lie_in_unit_interval(self):
         imgs, labels = synthetic_images(4, seed=6)
-        for img, y in zip(imgs, labels):
-            folded = fold_encode(RawImage(pixels=img, label=int(y)))
-            assert folded.vec.re.min() >= 0 and folded.vec.re.max() <= 1
-            assert folded.vec.im.min() >= 0 and folded.vec.im.max() <= 1
+        x = Dataset.from_arrays(imgs, labels, "train").complex_rows(slice(None))
+        assert x.real.min() >= 0 and x.real.max() <= 1
+        assert x.imag.min() >= 0 and x.imag.max() <= 1
 
     def test_decode_inverts_encode(self):
         imgs, labels = synthetic_images(6, seed=7)
-        for img, y in zip(imgs, labels):
-            raw = RawImage(pixels=img, label=int(y))
-            back = fold_decode(fold_encode(raw))
-            np.testing.assert_array_equal(back.pixels, img)
-            assert back.label == raw.label
+        x = Dataset.from_arrays(imgs, labels, "train").complex_rows(slice(None))
+        back = np.concatenate([np.rint(x.real * 255.0), np.rint(x.imag * 255.0)], axis=1)
+        np.testing.assert_array_equal(back.astype(np.uint8).reshape(imgs.shape), imgs)
 
     def test_stack_matches_single_encoding(self):
         imgs, labels = synthetic_images(5, seed=8)
-        re, im = data.fold_encode_stack(imgs)
-        assert re.shape == im.shape == (5, 392)
+        x = Dataset.from_arrays(imgs, labels, "train").complex_rows(slice(None))
+        assert x.shape == (5, 392)
         for i in range(5):
-            single = fold_encode(RawImage(pixels=imgs[i], label=int(labels[i])))
-            np.testing.assert_array_equal(re[i], single.vec.re)
-            np.testing.assert_array_equal(im[i], single.vec.im)
+            assert x[i].tobytes() == fold_one(imgs[i]).tobytes()
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            RawImage(pixels=np.zeros((27, 28)), label=0)
-        with pytest.raises(ValueError):
-            data.fold_encode_stack(np.zeros((2, 28, 27)))
+        labels = np.zeros(2, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"\(2, 28, 27\)"):
+            Dataset.from_arrays(np.zeros((2, 28, 27), dtype=np.uint8), labels, "train")
+        with pytest.raises(ValueError, match=r"\(28, 28\)"):
+            Dataset.from_arrays(np.zeros((28, 28), dtype=np.uint8), labels, "train")
+
+    def test_non_uint8_images_rejected(self):
+        labels = np.zeros(2, dtype=np.uint8)
+        with pytest.raises(ValueError, match="float64"):
+            Dataset.from_arrays(np.zeros((2, 28, 28)), labels, "train")
+        with pytest.raises(ValueError, match="int64"):
+            Dataset.from_arrays(np.zeros((2, 28, 28), dtype=np.int64), labels, "train")
 
     def test_folded_length_enforced(self):
-        from qocnn.linalg import ComplexVector
-
-        with pytest.raises(ValueError, match="392"):
-            FoldedInput(vec=ComplexVector(np.zeros(10), np.zeros(10)), label=0)
+        with pytest.raises(ValueError, match="784"):
+            Dataset(
+                pixels=np.zeros((1, 392), dtype=np.uint8),
+                labels=np.zeros(1, dtype=np.int64),
+                split="train",
+            )
 
 
 class TestDataset:
@@ -134,15 +141,19 @@ class TestDataset:
             synth_idx_files["train_images"], synth_idx_files["train_labels"], "train"
         )
         assert len(ds) == 512
-        item = ds[0]
-        assert isinstance(item, FoldedInput)
-        assert item.vec.n == 392
+        assert ds.complex_rows([0]).shape == (1, 392)
+
+    def test_split_held_as_uint8_pixels(self, synth_idx_files):
+        ds = Dataset.load(
+            synth_idx_files["train_images"], synth_idx_files["train_labels"], "train"
+        )
+        assert ds.pixels.dtype == np.uint8
+        assert ds.pixels.nbytes == 512 * 784
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="split"):
             Dataset(
-                re=np.zeros((1, 392)),
-                im=np.zeros((1, 392)),
+                pixels=np.zeros((1, 784), dtype=np.uint8),
                 labels=np.zeros(1, dtype=np.int64),
                 split="validation",
             )
@@ -151,6 +162,50 @@ class TestDataset:
         imgs, _ = synthetic_images(4, seed=9)
         with pytest.raises(ValueError):
             Dataset.from_arrays(imgs, np.zeros(3, dtype=np.uint8), "train")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.random.default_rng(10).permutation(300),  # a shuffled epoch order
+            slice(64, 128),
+            slice(256, 512),  # the short last predict chunk
+            np.array([], dtype=np.int64),
+            slice(300, 300),
+        ],
+        ids=["shuffled", "slice", "short-last-chunk", "empty-index", "empty-slice"],
+    )
+    def test_complex_rows_match_the_float_fold_bytewise(self, rows):
+        imgs, labels = synthetic_images(300, seed=10)
+        re, im = float_fold_oracle(imgs)
+        x = Dataset.from_arrays(imgs, labels, "train").complex_rows(rows)
+        assert x.dtype == np.complex128 and x.shape == re[rows].shape
+        assert x.real.tobytes() == re[rows].tobytes()
+        assert x.imag.tobytes() == im[rows].tobytes()
+
+    def test_re_and_im_fold_on_access(self):
+        imgs, labels = synthetic_images(20, seed=12)
+        ds = Dataset.from_arrays(imgs, labels, "test")
+        re, im = float_fold_oracle(imgs)
+        assert ds.re.tobytes() == re.tobytes() and ds.im.tobytes() == im.tobytes()
+        assert ds.re is not ds.re  # no cache: each access folds anew
+        with pytest.raises(AttributeError):
+            ds.re = re
+
+    def test_train_predict_and_evaluate_never_read_re_or_im(
+        self, synth_datasets, monkeypatch
+    ):
+        def forbidden(ds):
+            raise AssertionError("the whole split was folded")
+
+        monkeypatch.setattr(Dataset, "re", property(forbidden))
+        monkeypatch.setattr(Dataset, "im", property(forbidden))
+        train_ds, test_ds = synth_datasets
+        m = model_mod.new_model("qocnn", seed=0)
+        _, history = training.train(m, train_ds, test_ds, training.TrainConfig(epochs=1))
+        assert history.epochs == [1]
+        log_probs = training.predict_log_probs(m, test_ds)
+        report = metrics.evaluate_predictions(np.exp(log_probs), test_ds.labels)
+        assert 0.0 <= report.accuracy <= 1.0
 
 
 class TestBatchIter:

@@ -241,8 +241,7 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         train_ds, test_ds = small_datasets()
         empty = Dataset(
-            re=np.zeros((0, 392)),
-            im=np.zeros((0, 392)),
+            pixels=np.zeros((0, 784), dtype=np.uint8),
             labels=np.zeros(0, dtype=np.int64),
             split="train",
         )
@@ -475,6 +474,21 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointFormatError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("arch,label", [("qonn", "onn"), ("onn", "qocnn")])
+    def test_arch_id_that_disagrees_with_the_layers_rejected(self, tmp_path, arch, label):
+        path = tmp_path / "relabelled.ckpt"
+        save_checkpoint(tiny_model(arch), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = model_mod.ARCHITECTURES.index(label).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(path)
+        msg = str(info.value)
+        assert msg.startswith(f"checkpoint labelled {label} holds layers ")
+        stored = ", ".join(s.kind for s in tiny_model(arch).specs)
+        expected = ", ".join(s.kind for s in model_mod.architecture_specs(label))
+        assert stored in msg and expected in msg
 
     def test_trained_model_round_trip(self, tmp_path):
         train_ds, test_ds = small_datasets(n_train=64, n_test=32)
