@@ -1,8 +1,8 @@
 """Command-line entry point: train, evaluate, gradcheck, estimate, export.
 
 Exit codes are stable for scripting: 0 success, 2 missing files or bad
-parameters, 3 training divergence, 4 checkpoint mismatch, 5 gradient-check
-failure.
+parameters, 3 training divergence, 4 checkpoint mismatch or a checkpoint
+whose activations overflow, 5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -10,26 +10,32 @@ from __future__ import annotations
 import os
 
 
-def _cap_threads() -> None:
-    """Apply the QOCNN_THREADS cap; must run before numpy first loads."""
+def _cap_threads() -> str:
+    """Apply the QOCNN_THREADS cap; must run before numpy first loads.
+
+    Unset (or not a whole number) caps the BLAS pools at one thread, which
+    makes checkpoints independent of the host's core count; k > 0 caps them
+    at k; 0 or less leaves the library defaults.  Returns the cap for
+    run.log.
+    """
     raw = os.environ.get("QOCNN_THREADS", "").strip()
-    if not raw:
-        return
     try:
-        n = int(raw)
+        n = int(raw) if raw else 1
     except ValueError:
-        return
-    if n > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(n)
+        n = 1
+    if n <= 0:
+        return "library default"
+    for var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ[var] = str(n)
+    return str(n)
 
 
-_cap_threads()
+BLAS_THREADS = _cap_threads()
 
 import argparse
 import csv
@@ -39,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, fileio, metrics, model as model_mod, resources, training
+from . import data, fileio, layers, metrics, model as model_mod, resources, training
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -175,6 +181,7 @@ def config_lines(command: str, eff: dict) -> list[str]:
     lines = [f"command = {command}"]
     for key in sorted(eff):
         lines.append(f"{key} = {eff[key]}")
+    lines.append(f"blas_threads = {BLAS_THREADS}")
     return lines
 
 
@@ -195,6 +202,20 @@ def _out_dir_problem(eff: dict) -> str | None:
     if out_dir.exists() and not out_dir.is_dir():
         return f"--out-dir {out_dir} exists and is not a directory"
     return None
+
+
+def _write_run_log(out_dir: Path, lines: list[str]) -> None:
+    fileio.atomic_write_text(out_dir / "run.log", "\n".join(lines) + "\n")
+
+
+def _non_finite_message(model, ds, exc: layers.NonFiniteError) -> str:
+    """Names the first layer to output inf or NaN on the chunk that raised."""
+    first = model_mod.first_non_finite_layer(model, ds.complex_rows(exc.rows))
+    return (
+        f"checkpoint gives non-finite activations on rows {exc.rows.start}.."
+        f"{exc.rows.stop - 1}: layer {first} ({model.specs[first].kind}) is "
+        f"the first to output inf or NaN; {exc}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +272,25 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE
+    out_dir = Path(eff["out_dir"])
     try:
         _, history = training.train(model, train_ds, test_ds, config, log=log)
     except training.DivergenceError as exc:
+        # the record of a failed run: run.log only, no checkpoint or history
         _err(str(exc))
+        log_lines.append(f"error: {exc}")
+        try:
+            _write_run_log(out_dir, log_lines)
+        except OSError as write_exc:
+            _err(f"cannot write outputs: {write_exc}")
         return EXIT_DIVERGENCE
-    out_dir = Path(eff["out_dir"])
     checkpoint = Path(eff["checkpoint"]) if eff["checkpoint"] else out_dir / "model.ckpt"
     try:
         training.save_checkpoint(model, checkpoint)
         fileio.atomic_write_text(out_dir / "history.csv", history.to_csv())
         log(f"checkpoint: {checkpoint}")
         log(f"final test accuracy: {history.test_accuracy[-1]:.4f}")
-        fileio.atomic_write_text(out_dir / "run.log", "\n".join(log_lines) + "\n")
+        _write_run_log(out_dir, log_lines)
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return EXIT_USAGE
@@ -301,6 +328,9 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     try:
         log_probs = training.predict_log_probs(model, ds)
+    except layers.NonFiniteError as exc:
+        _err(_non_finite_message(model, ds, exc))
+        return EXIT_CHECKPOINT
     except ValueError as exc:
         _err(f"checkpoint incompatible with dataset: {exc}")
         return EXIT_CHECKPOINT
@@ -322,7 +352,7 @@ def cmd_evaluate(args) -> int:
             out_dir / "auc_summary.csv", metrics.auc_summary_csv(report.roc)
         )
         fileio.atomic_write_text(out_dir / "metrics.csv", metrics_csv)
-        fileio.atomic_write_text(out_dir / "run.log", "\n".join(lines) + "\n")
+        _write_run_log(out_dir, lines)
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return EXIT_USAGE

@@ -38,6 +38,9 @@ MOD_SOFTPLUS_ZERO_TOL = 1e-12
 class NonFiniteError(ValueError):
     """An activation that must be finite holds inf or NaN."""
 
+    # rows of the dataset whose forward pass raised, set by predict_log_probs
+    rows: slice | None = None
+
 
 @dataclass(frozen=True)
 class LayerSpec:

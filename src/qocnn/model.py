@@ -164,6 +164,20 @@ def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[Ta
     return out, tape
 
 
+def first_non_finite_layer(model: ModelGraph, x: np.ndarray) -> int | None:
+    """Index of the first layer whose output on x holds inf or NaN, or None.
+
+    Checks every layer's output, so it is meant for the error path of a
+    forward pass that raised `NonFiniteError`, not for the hot path.
+    """
+    out = x
+    for i, (spec, p) in enumerate(zip(model.specs, model.params)):
+        out, _ = layers.layer_forward(spec, p, out)
+        if not np.isfinite(out).all():
+            return i
+    return None
+
+
 def model_backward(
     model: ModelGraph, tape: list[TapeNode], grad_out: np.ndarray
 ) -> list[dict[str, np.ndarray]]:

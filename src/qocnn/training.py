@@ -6,8 +6,12 @@ real and imaginary parts move as 2 * size independent real parameters.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -213,19 +217,89 @@ def epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
 
 
+# Rows per predict chunk; memory grows with workers x PREDICT_CHUNK rows.
+PREDICT_CHUNK = 128
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict_log_probs(
-    model: ModelGraph, ds: Dataset, batch_size: int = 256
+    model: ModelGraph, ds: Dataset, batch_size: int = PREDICT_CHUNK
 ) -> np.ndarray:
-    """Log probabilities for a whole dataset, computed in order."""
-    out = np.empty((len(ds), model.out_dim), dtype=np.float64)
-    for start in range(0, len(ds), batch_size):
-        x = ds.complex_rows(slice(start, start + batch_size))
-        out[start : start + x.shape[0]], _ = model_forward(model, x)
+    """Log probabilities for a whole dataset, one row per dataset row.
+
+    Chunks of batch_size rows run on one worker per available CPU: the
+    caller's thread plus a helper thread for each other CPU (none with
+    fewer than two chunks or CPUs); numpy and BLAS release the GIL.  Rows
+    are independent, so the bytes do not depend on the chunk size or the
+    worker count.  Each helper runs in a copy of the caller's context, so
+    an `np.errstate` reaches it.  Workers take chunks in row order and
+    stop taking them once one has failed; the error of the earliest
+    failing chunk is raised, and a `NonFiniteError` carries the chunk's
+    rows in `rows`.
+    """
+    n = len(ds)
+    out = np.empty((n, model.out_dim), dtype=np.float64)
+    # A one-row chunk would take BLAS's matrix-vector path, which rounds
+    # differently from the matrix product, so a lone last row joins the
+    # chunk before it.
+    starts = list(range(0, n, batch_size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    stops = starts[1:] + [n]
+
+    def chunk(start: int, stop: int) -> None:
+        x = ds.complex_rows(slice(start, stop))
+        try:
+            out[start:stop], _ = model_forward(model, x)
+        except NonFiniteError as exc:
+            exc.rows = slice(start, stop)
+            raise
+
+    workers = min(_available_cpus(), len(starts))
+    if workers < 2:
+        for start, stop in zip(starts, stops):
+            chunk(start, stop)
+        return out
+    todo = iter(zip(starts, stops))
+    lock = threading.Lock()
+    errors: dict[int, BaseException] = {}  # chunk start -> its error
+
+    def drain() -> None:
+        while not errors:
+            with lock:
+                bounds = next(todo, None)
+            if bounds is None:
+                return
+            try:
+                chunk(*bounds)
+            except BaseException as exc:  # raised on the caller's thread below
+                errors[bounds[0]] = exc
+
+    # The caller drains too, so only workers - 1 threads are made: each
+    # thread's malloc arena keeps its own peak.  On a 2-CPU host, a helper
+    # per CPU raised train-qocnn's peak RSS by 3-11%; this way adds 0.2%.
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        # one context copy per helper: two threads cannot enter one Context
+        helpers = [
+            pool.submit(contextvars.copy_context().run, drain)
+            for _ in range(workers - 1)
+        ]
+        drain()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
     return out
 
 
 def evaluate_loss_accuracy(
-    model: ModelGraph, ds: Dataset, batch_size: int = 256
+    model: ModelGraph, ds: Dataset, batch_size: int = PREDICT_CHUNK
 ) -> tuple[float, float]:
     log_probs = predict_log_probs(model, ds, batch_size)
     loss = nll_mean(log_probs, ds.labels)

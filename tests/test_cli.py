@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,16 @@ def trained_run(synth_idx_files, tmp_path_factory):
     )
     assert code == 0
     return out_dir
+
+
+def evaluate_args(files, checkpoint, out_dir):
+    return [
+        "evaluate",
+        "--checkpoint", str(checkpoint),
+        "--test-images", str(files["test_images"]),
+        "--test-labels", str(files["test_labels"]),
+        "--out-dir", str(out_dir),
+    ]
 
 
 def relabelled_checkpoint(run_dir, tmp_path, arch):
@@ -176,6 +189,17 @@ class TestTrain:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: training diverged")
         assert [str(w.message) for w in caught] == []
+
+    def test_divergence_leaves_run_log_only(self, synth_idx_files, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        extra = ["--arch", "onn", "--optimizer", "sgd", "--lr", "1e100", "--epochs", "1"]
+        code, out, err = run(train_args(synth_idx_files, out_dir, extra), capsys)
+        assert code == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == ["run.log"]
+        log = (out_dir / "run.log").read_text().splitlines()
+        assert log[0] == "command = train" and "arch = onn" in log
+        assert log[-1] == err.strip()  # the error line ends the record
+        assert log[:-1] == out.splitlines()  # every line printed so far
 
     def test_out_dir_that_is_a_file_exits_2(self, synth_idx_files, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -325,6 +349,32 @@ class TestEvaluate:
         assert err.startswith("error: checkpoint labelled onn holds layers complex_linear, sinusoid")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("arch,first", [("onn", "layer 2 (complex_linear)"),
+                                            ("qocnn", "layer 0 (quantum_conv)")])
+    def test_non_finite_activations_name_the_first_layer(
+        self, arch, first, synth_idx_files, tmp_path, capsys
+    ):
+        """Weights scaled by 1e200 overflow; the 256 test rows are several chunks."""
+        m = model_mod.new_model(arch, seed=5)
+        for p in m.params:
+            for arr in p.values():
+                arr *= 1e200
+        training.save_checkpoint(m, tmp_path / "big.ckpt")
+        args = evaluate_args(synth_idx_files, tmp_path / "big.ckpt", tmp_path / "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(args, capsys)
+        assert code == 4
+        assert err.startswith(
+            f"error: checkpoint gives non-finite activations on rows "
+            f"0..{training.PREDICT_CHUNK - 1}: "
+            f"{first} is the first to output inf or NaN; layer "
+        )
+        assert "(log_softmax): log_softmax requires finite entries" in err
+        assert len(err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_exits_2(self, synth_idx_files, tmp_path, capsys):
         code, _, _ = run(
             [
@@ -411,6 +461,9 @@ class TestExport:
         assert code == 2
 
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 class TestThreadCap:
     def test_env_var_applies_before_numpy(self, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -420,10 +473,63 @@ class TestThreadCap:
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
+    def test_unset_caps_at_one(self, monkeypatch):
+        for var in ("QOCNN_THREADS",) + BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # overridden too
+        assert cli._cap_threads() == "1"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_run_log_records_the_cap(self, synth_idx_files, tmp_path, capsys):
+        code, _, _ = run(train_args(synth_idx_files, tmp_path, ["--epochs", "1"]), capsys)
+        assert code == 0
+        log = (tmp_path / "run.log").read_text().splitlines()
+        assert f"blas_threads = {cli.BLAS_THREADS}" in log
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_checkpoints_do_not_depend_on_the_host(self, synth_idx_files, tmp_path):
+        """With QOCNN_THREADS unset the cap is 1, so the bytes are those of
+        QOCNN_THREADS=1 whatever the core count.  A cap of 2 is another
+        cap: its bytes may differ (qocnn's do on a 2-CPU host), and its
+        run.log says so."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            "import json, sys\n"
+            "from qocnn import cli\n"  # before numpy, as `qocnn` does
+            "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
+        )
+        archs = ("qocnn", "qonn", "onn")
+        outputs = {}
+        for cap in (None, "1", "2"):
+            # importing qocnn.cli here set the BLAS variables; start clean
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+            env.pop("QOCNN_THREADS", None)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if cap is not None:
+                env["QOCNN_THREADS"] = cap
+            runs = {arch: tmp_path / f"{arch}-{cap}" for arch in archs}
+            extra = ["--epochs", "1", "--seed", "2", "--arch"]
+            argvs = [train_args(synth_idx_files, d, extra + [arch]) for arch, d in runs.items()]
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argvs)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[cap] = {
+                arch: ((d / "model.ckpt").read_bytes(), (d / "history.csv").read_bytes())
+                for arch, d in runs.items()
+            }
+        assert [a for a in archs if outputs[None][a] != outputs["1"][a]] == []
+        for cap in (None, "1", "2"):
+            for arch in archs:
+                log = (tmp_path / f"{arch}-{cap}" / "run.log").read_text().splitlines()
+                assert f"blas_threads = {cap or 1}" in log
+
     def test_zero_means_default(self, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setenv("QOCNN_THREADS", "0")
-        cli._cap_threads()
+        assert cli._cap_threads() == "library default"
         assert "OMP_NUM_THREADS" not in os.environ
 
     def test_checkpoint_atomicity_leaves_no_temp_files(self, tmp_path):

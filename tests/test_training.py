@@ -1,6 +1,9 @@
 """Loss, optimizers, the training loop, checkpoints, and grad_check."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from conftest import (
     HOT_PATH_ORACLES,
     model_backward_oracle,
+    predict_log_probs_oracle,
     random_complex,
     synthetic_images,
     tiny_batch,
@@ -416,6 +420,170 @@ class TestBackwardSkipsInputGradient:
         if arch == "qocnn":  # stages n-1 .. 1 map their gradient back, stage 0 not
             n = first.cache[1].n
             assert n > 1 and from_blocks_stages == list(range(n - 1, 0, -1))
+
+
+def scaled_model(arch: str, factor: float) -> ModelGraph:
+    m = model_mod.new_model(arch, seed=5)
+    for p in m.params:
+        for arr in p.values():
+            arr *= factor
+    return m
+
+
+class TestThreadedPredict:
+    """Predict chunks run on worker threads and give the serial pass's bytes."""
+
+    CHUNK = training.PREDICT_CHUNK
+
+    @staticmethod
+    def workers(monkeypatch, n):
+        monkeypatch.setattr(training, "_available_cpus", lambda: n)
+
+    @pytest.fixture(scope="class")
+    def rows_1000(self):
+        imgs, labels = synthetic_images(1000, seed=31)  # ends in a short chunk
+        assert 1000 % self.CHUNK > 1
+        return Dataset.from_arrays(imgs, labels, "test")
+
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_matches_serial_oracle_bitwise(self, arch, n_workers, rows_1000, monkeypatch):
+        m = model_mod.new_model(arch, seed=6)
+        self.workers(monkeypatch, n_workers)
+        got = training.predict_log_probs(m, rows_1000)
+        assert got.tobytes() == predict_log_probs_oracle(m, rows_1000).tobytes()
+
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    def test_a_lone_last_row_joins_the_chunk_before_it(self, arch, monkeypatch):
+        """A one-row chunk would go through BLAS's matrix-vector kernel, and
+        onn's last row would then differ from a forward pass over all rows."""
+        imgs, labels = synthetic_images(2 * self.CHUNK + 1, seed=32)
+        ds = Dataset.from_arrays(imgs, labels, "test")
+        m = model_mod.new_model(arch, seed=6)
+        self.workers(monkeypatch, 2)
+        whole, _ = model_mod.model_forward(m, ds.complex_rows(slice(None)))
+        assert training.predict_log_probs(m, ds).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("arch", ["onn", "qocnn"])
+    def test_errstate_reaches_the_workers(self, arch, monkeypatch):
+        """Without a context copy per chunk the workers would warn, which
+        the suite turns into a RuntimeWarning error."""
+        ds, _ = small_datasets(n_train=300)
+        m = scaled_model(arch, 1e200)
+        messages = []
+        for n_workers in (1, 2):
+            self.workers(monkeypatch, n_workers)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(layers.NonFiniteError) as info:
+                    training.predict_log_probs(m, ds)
+            messages.append(str(info.value))
+            assert info.value.rows == slice(0, self.CHUNK)
+        assert messages[0] == messages[1]
+        assert "(log_softmax): log_softmax requires finite entries" in messages[0]
+
+    def test_every_chunk_sees_the_callers_errstate(self, monkeypatch):
+        ds, _ = small_datasets(n_train=8 * self.CHUNK)
+        real = training.model_forward
+        seen = []
+
+        def recording(model, x):
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            time.sleep(0.005)  # so that every worker takes chunks
+            return real(model, x)
+
+        monkeypatch.setattr(training, "model_forward", recording)
+        self.workers(monkeypatch, 3)
+        with np.errstate(over="ignore"):
+            training.predict_log_probs(model_mod.new_model("onn", seed=1), ds)
+        assert len(seen) == 8 and len({thread for thread, _ in seen}) > 1
+        assert {over for _, over in seen} == {"ignore"}
+
+    def test_each_chunk_runs_once_under_contention(self, monkeypatch):
+        """More workers than cores and a tiny switch interval: a chunk taken
+        twice or skipped would show in the record or in the bytes."""
+        ds, _ = small_datasets(n_train=512)
+        m = model_mod.new_model("onn", seed=3)
+        real = training.model_forward
+        taken = []
+
+        def recording(model, x):
+            taken.append(x[:, :4].tobytes())
+            return real(model, x)
+
+        monkeypatch.setattr(training, "model_forward", recording)
+        self.workers(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = training.predict_log_probs(m, ds, batch_size=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == sorted(
+            ds.complex_rows(slice(i, i + 8))[:, :4].tobytes() for i in range(0, 512, 8)
+        )
+        assert got.tobytes() == predict_log_probs_oracle(m, ds).tobytes()
+
+    def test_earliest_failing_chunk_is_raised(self, monkeypatch):
+        """Chunk 3 fails first in time, chunk 1 first in row order."""
+        n = 6 * self.CHUNK
+        imgs = np.zeros((n, 28, 28), dtype=np.uint8)
+        imgs[:, 0, 0] = np.arange(n) // self.CHUNK  # pixel 0 names the chunk
+        ds = Dataset.from_arrays(imgs, np.zeros(n, dtype=np.uint8), "test")
+        real = training.model_forward
+
+        def failing(model, x):
+            chunk = round(x[0, 0].real * 255)
+            if chunk == 1:
+                time.sleep(0.2)
+            if chunk in (1, 3):
+                raise ValueError(f"chunk {chunk} failed")
+            return real(model, x)
+
+        monkeypatch.setattr(training, "model_forward", failing)
+        self.workers(monkeypatch, 3)
+        with pytest.raises(ValueError, match="^chunk 1 failed$"):
+            training.predict_log_probs(model_mod.new_model("onn", seed=1), ds)
+
+    def test_one_chunk_makes_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made for one chunk")
+
+        ds, _ = small_datasets(n_train=self.CHUNK)
+        m = model_mod.new_model("qocnn", seed=2)
+        self.workers(monkeypatch, 2)
+        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        got = training.predict_log_probs(m, ds)
+        assert got.tobytes() == predict_log_probs_oracle(m, ds).tobytes()
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_no_thread_outlives_the_call(self, n_workers, monkeypatch):
+        ds, _ = small_datasets(n_train=300)
+        self.workers(monkeypatch, n_workers)
+        before = threading.active_count()
+        training.predict_log_probs(model_mod.new_model("onn", seed=2), ds)
+        assert threading.active_count() == before
+
+    def test_workers_take_no_chunk_after_a_failure(self, monkeypatch):
+        """Of 20 chunks, only those taken before chunk 0 failed run."""
+        n = 20 * self.CHUNK
+        imgs = np.zeros((n, 28, 28), dtype=np.uint8)
+        imgs[:, 0, 0] = np.arange(n) // self.CHUNK
+        ds = Dataset.from_arrays(imgs, np.zeros(n, dtype=np.uint8), "test")
+        ran = []
+
+        def failing(model, x):
+            chunk = round(x[0, 0].real * 255)
+            ran.append(chunk)
+            if chunk == 0:
+                raise ValueError("chunk 0 failed")
+            time.sleep(0.01)
+            return np.zeros((x.shape[0], 10)), []
+
+        monkeypatch.setattr(training, "model_forward", failing)
+        self.workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^chunk 0 failed$"):
+            training.predict_log_probs(model_mod.new_model("onn", seed=1), ds)
+        assert len(ran) <= 4
 
 
 class TestCheckpoints:
