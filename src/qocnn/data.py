@@ -9,6 +9,8 @@ batch is folded when it is read.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,15 +30,19 @@ class IdxTruncatedError(ValueError):
     """Raised when an IDX payload is shorter or longer than its header claims."""
 
 
-def _check_payload(data: bytes, expected: int, what: str) -> None:
+def _check_payload(data: bytes | np.ndarray, expected: int, what: str) -> None:
     if len(data) != expected:
         raise IdxTruncatedError(
             f"{what}: expected {expected} bytes total, got {len(data)}"
         )
 
 
-def load_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into a uint8 array of shape (count, rows, cols)."""
+def load_idx_images(data: bytes | np.ndarray) -> np.ndarray:
+    """Parse an IDX image file into a uint8 array of shape (count, rows, cols).
+
+    `data` is the whole file as `bytes` or a 1-D uint8 array; the result is
+    a view of it, read-only for `bytes`.
+    """
     if len(data) < 16:
         raise IdxTruncatedError(
             f"image file: expected at least 16 header bytes, got {len(data)}"
@@ -48,11 +54,15 @@ def load_idx_images(data: bytes) -> np.ndarray:
         )
     _check_payload(data, 16 + count * rows * cols, "image file")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols).copy()
+    return pixels.reshape(count, rows, cols)
 
 
-def load_idx_labels(data: bytes) -> np.ndarray:
-    """Parse an IDX label file into a uint8 array of shape (count,)."""
+def load_idx_labels(data: bytes | np.ndarray) -> np.ndarray:
+    """Parse an IDX label file into a uint8 array of shape (count,).
+
+    `data` is the whole file as `bytes` or a 1-D uint8 array; the result is
+    a view of it, read-only for `bytes`.
+    """
     if len(data) < 8:
         raise IdxTruncatedError(
             f"label file: expected at least 8 header bytes, got {len(data)}"
@@ -63,7 +73,7 @@ def load_idx_labels(data: bytes) -> np.ndarray:
             f"bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
         )
     _check_payload(data, 8 + count, "label file")
-    labels = np.frombuffer(data, dtype=np.uint8, offset=8).copy()
+    labels = np.frombuffer(data, dtype=np.uint8, offset=8)
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
         raise ValueError(
@@ -72,12 +82,35 @@ def load_idx_labels(data: bytes) -> np.ndarray:
     return labels
 
 
+def _read_file(path: str | Path) -> np.ndarray:
+    """The whole file as a uint8 array, read once straight into it.
+
+    The array is sized from the file, never from its header, so a corrupt
+    count cannot ask for memory; a short read leaves the array short, and
+    the parser's payload check reports it.  No mmap: a file truncated under
+    a live mapping would end the process with SIGBUS.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            # a pipe, say `<(gunzip -c ...)`, has no size to allocate from
+            return np.frombuffer(fh.read(), dtype=np.uint8)
+        buf = np.empty(st.st_size, dtype=np.uint8)
+        got = 0
+        while got < buf.size:
+            n = fh.readinto(buf[got:])
+            if not n:
+                break
+            got += n
+    return buf[:got]
+
+
 def read_idx_images(path: str | Path) -> np.ndarray:
-    return load_idx_images(Path(path).read_bytes())
+    return load_idx_images(_read_file(path))
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
-    return load_idx_labels(Path(path).read_bytes())
+    return load_idx_labels(_read_file(path))
 
 
 FOLD = 392  # complex entries per image: 14 rows of 28 pixels per half

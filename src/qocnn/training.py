@@ -11,6 +11,7 @@ import math
 import os
 import struct
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -384,7 +385,9 @@ def train(
 # checkpoints
 
 CHECKPOINT_MAGIC = b"QOCN"
-CHECKPOINT_VERSION = 1
+# version 2 appends a little-endian zlib.crc32 of every byte before it;
+# version 1 files, which end at the last parameter, are still read
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -430,19 +433,20 @@ def save_checkpoint(model: ModelGraph, path) -> None:
             parts.append(struct.pack("<Q", arr.size))
             parts.append(np.ascontiguousarray(arr.real, dtype="<f8").tobytes())
             parts.append(np.ascontiguousarray(arr.imag, dtype="<f8").tobytes())
-    fileio.atomic_write_bytes(path, b"".join(parts))
+    blob = b"".join(parts)
+    fileio.atomic_write_bytes(path, blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes | memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> bytes | memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointTruncatedError(
                 f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}"
+                f"the payload has {len(self.blob)}"
             )
         out = self.blob[self.pos : self.pos + n]
         self.pos += n
@@ -453,6 +457,12 @@ class _Reader:
 
 
 def load_checkpoint(path) -> ModelGraph:
+    """Read a checkpoint; any corrupt file raises a `CheckpointError`.
+
+    The structure is checked first, so a bad magic, version, length or
+    layer stack gets its own message; the CRC32 of a version 2 file then
+    catches a flipped bit that still parses.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -462,11 +472,13 @@ def load_checkpoint(path) -> ModelGraph:
             f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
         )
     (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
+    if not 1 <= version <= CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"checkpoint version {version} unsupported, this build reads "
-            f"version {CHECKPOINT_VERSION}"
+            f"versions 1 to {CHECKPOINT_VERSION}"
         )
+    if version >= 2:
+        r.blob = memoryview(blob)[:-4]  # the payload ends where the CRC32 begins
     (arch_id,) = r.unpack("<I")
     if arch_id >= len(ARCHITECTURES):
         raise CheckpointFormatError(f"unknown architecture id {arch_id}")
@@ -474,14 +486,14 @@ def load_checkpoint(path) -> ModelGraph:
     (lam,) = r.unpack("<d")
     (n_layers,) = r.unpack("<I")
     specs = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         kind_id, in_dim, out_dim = r.unpack("<III")
         (spec_lam,) = r.unpack("<d")
         k, s, w, p = r.unpack("<IIII")
         if kind_id >= len(LAYER_KINDS):
             raise CheckpointFormatError(f"unknown layer kind id {kind_id}")
-        specs.append(
-            LayerSpec(
+        try:
+            spec = LayerSpec(
                 kind=LAYER_KINDS[kind_id],
                 in_dim=in_dim,
                 out_dim=out_dim,
@@ -491,7 +503,11 @@ def load_checkpoint(path) -> ModelGraph:
                 w=w or None,
                 p=p or None,
             )
-        )
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"checkpoint layer {i} ({LAYER_KINDS[kind_id]}) is invalid: {exc}"
+            ) from exc
+        specs.append(spec)
     arch = ARCHITECTURES[arch_id]
     kinds = [spec.kind for spec in specs]
     # kinds only: the gradient checker's small geometries must still load
@@ -518,17 +534,25 @@ def load_checkpoint(path) -> ModelGraph:
             im = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
             p[name] = np.ascontiguousarray(re) + 1j * np.ascontiguousarray(im)
         params.append(p)
-    if r.pos != len(blob):
+    if r.pos != len(r.blob):
         raise CheckpointFormatError(
-            f"{len(blob) - r.pos} trailing bytes after checkpoint payload"
+            f"{len(r.blob) - r.pos} trailing bytes after checkpoint payload"
         )
-    return ModelGraph(
-        arch=arch,
-        specs=specs,
-        params=params,
-        seed=seed,
-        meta={"lam": lam},
-    )
+    try:
+        model = ModelGraph(
+            arch=arch, specs=specs, params=params, seed=seed, meta={"lam": lam}
+        )
+    except ValueError as exc:
+        raise CheckpointFormatError(f"checkpoint model is invalid: {exc}") from exc
+    if version >= 2:
+        (stored,) = struct.unpack("<I", blob[-4:])
+        computed = zlib.crc32(r.blob)
+        if stored != computed:
+            raise CheckpointFormatError(
+                f"checkpoint CRC32 mismatch: file says 0x{stored:08x}, contents "
+                f"give 0x{computed:08x}; the file is corrupt"
+            )
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,20 @@ def relabelled_checkpoint(run_dir, tmp_path, arch):
     return path
 
 
+def kind_flipped_checkpoint(tmp_path):
+    """A default onn checkpoint with bit 0 of byte 32, the first layer's
+    kind id, flipped: complex_linear becomes sinusoid, which has no lam."""
+    path = tmp_path / "flipped.ckpt"
+    training.save_checkpoint(model_mod.new_model("onn", seed=4), path)
+    blob = bytearray(path.read_bytes())
+    blob[32] ^= 0x01
+    path.write_bytes(bytes(blob))
+    return path
+
+
+KIND_FLIP_ERROR = "error: checkpoint layer 0 (sinusoid) is invalid: sinusoid requires lam > 0\n"
+
+
 class TestEstimate:
     def test_headline_numbers(self, capsys):
         code, out, _ = run(
@@ -333,6 +347,13 @@ class TestEvaluate:
         assert code == 4
         assert "magic" in err
 
+    def test_invalid_layer_exits_4(self, synth_idx_files, tmp_path, capsys):
+        bad = kind_flipped_checkpoint(tmp_path)
+        args = evaluate_args(synth_idx_files, bad, tmp_path / "out")
+        code, out, err = run(args, capsys)
+        assert (code, out, err) == (4, "", KIND_FLIP_ERROR)
+        assert not (tmp_path / "out").exists()
+
     def test_relabelled_checkpoint_exits_4(self, synth_idx_files, trained_run, tmp_path, capsys):
         bad = relabelled_checkpoint(trained_run, tmp_path, "onn")
         code, _, err = run(
@@ -454,6 +475,13 @@ class TestExport:
         code, _, err = run(["export", "--checkpoint", str(bad), "--out", str(out_path)], capsys)
         assert code == 4
         assert "labelled onn" in err and "sinusoid" in err
+        assert not out_path.exists()
+
+    def test_invalid_layer_exits_4(self, tmp_path, capsys):
+        bad = kind_flipped_checkpoint(tmp_path)
+        out_path = tmp_path / "model.json"
+        code, out, err = run(["export", "--checkpoint", str(bad), "--out", str(out_path)], capsys)
+        assert (code, out, err) == (4, "", KIND_FLIP_ERROR)
         assert not out_path.exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """IDX parsing, fold encoding, dataset assembly, batch iteration."""
 
+import os
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,206 @@ class TestIdxParsing:
         ip, lp = write_idx_pair(tmp_path, imgs, labels, "train")
         np.testing.assert_array_equal(data.read_idx_images(ip), imgs)
         np.testing.assert_array_equal(data.read_idx_labels(lp), labels)
+
+
+def dataset_load_oracle(images_path, labels_path, split: str) -> Dataset:
+    """The earlier loader: each file read into `bytes`, then its payload copied."""
+    img = Path(images_path).read_bytes()
+    lbl = Path(labels_path).read_bytes()
+    n, rows, cols = struct.unpack(">III", img[4:16])
+    images = np.frombuffer(img, dtype=np.uint8, offset=16).reshape(n, rows, cols).copy()
+    labels = np.frombuffer(lbl, dtype=np.uint8, offset=8).copy()
+    return Dataset.from_arrays(images, labels, split)
+
+
+class ShortReads:
+    """An unbuffered file whose `readinto` fills at most `cap` bytes a call."""
+
+    def __init__(self, path, cap: int):
+        self.fh = open(path, "rb", buffering=0)
+        self.cap = cap
+        self.calls = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self) -> int:
+        return self.fh.fileno()
+
+    def readinto(self, buf) -> int:
+        self.calls += 1
+        with memoryview(buf) as view:
+            return self.fh.readinto(view[: self.cap])
+
+
+class TestReadOnce:
+    def test_load_matches_the_copying_loader_bytewise(self, tmp_path):
+        imgs, labels = synthetic_images(37, seed=13)
+        ip, lp = write_idx_pair(tmp_path, imgs, labels, "train")
+        got = Dataset.load(ip, lp, "train")
+        want = dataset_load_oracle(ip, lp, "train")
+        assert got.pixels.shape == want.pixels.shape == (37, 784)
+        assert got.pixels.dtype == np.uint8
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_load_holds_each_file_once(self, tmp_path):
+        imgs, labels = synthetic_images(4_000, seed=14)
+        ip, lp = write_idx_pair(tmp_path, imgs, labels, "train")
+        file_bytes = ip.stat().st_size + lp.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = Dataset.load(ip, lp, "train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 4_000
+        assert peak <= 1.05 * file_bytes, f"peak {peak / file_bytes:.3f}x the files"
+
+    def test_short_reads_still_yield_the_whole_file(self, tmp_path, monkeypatch):
+        imgs, labels = synthetic_images(5, seed=15)
+        ip, lp = write_idx_pair(tmp_path, imgs, labels, "test")
+        readers = []
+
+        def short_open(path, mode, buffering):
+            assert (mode, buffering) == ("rb", 0)
+            readers.append(ShortReads(path, cap=7))
+            return readers[-1]
+
+        monkeypatch.setattr(data, "open", short_open, raising=False)
+        np.testing.assert_array_equal(data.read_idx_images(ip), imgs)
+        np.testing.assert_array_equal(data.read_idx_labels(lp), labels)
+        assert readers[0].calls >= ip.stat().st_size // 7
+        assert all(r.fh.closed for r in readers)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_to_its_end(self):
+        """Process substitution (`<(gunzip -c ...)`) hands over a pipe, whose size is 0."""
+        imgs, labels = synthetic_images(3, seed=19)
+        for blob, read, want in (
+            (image_blob(imgs), data.read_idx_images, imgs),
+            (label_blob(labels), data.read_idx_labels, labels),
+        ):
+            r, w = os.pipe()
+            try:
+                with open(w, "wb") as writer:  # a few KB: fits the pipe's buffer
+                    writer.write(blob)
+                np.testing.assert_array_equal(read(f"/dev/fd/{r}"), want)
+            finally:
+                os.close(r)
+
+    def test_file_shorter_than_its_header_names_both_sizes(self, tmp_path):
+        imgs, _ = synthetic_images(3, seed=16)
+        path = tmp_path / "short-images-idx3-ubyte"
+        path.write_bytes(struct.pack(">IIII", 0x803, 5, 28, 28) + imgs.tobytes())
+        with pytest.raises(
+            IdxTruncatedError,
+            match=f"expected {16 + 5 * 784} bytes total, got {16 + 3 * 784}$",
+        ):
+            data.read_idx_images(path)
+
+    def test_dataset_parsed_from_bytes_folds_and_batches(self):
+        imgs, labels = synthetic_images(50, seed=17)
+        ds = Dataset.from_arrays(
+            data.load_idx_images(image_blob(imgs)),
+            data.load_idx_labels(label_blob(labels)),
+            "train",
+        )
+        assert not ds.pixels.flags.writeable  # a view of the bytes
+        owned = Dataset.from_arrays(imgs.copy(), labels.copy(), "train")
+        assert ds.complex_rows(slice(None)).tobytes() == owned.complex_rows(
+            slice(None)
+        ).tobytes()
+        for a, b in zip(batch_iter(ds, 16, seed=3), batch_iter(owned, 16, seed=3), strict=True):
+            assert a.x.tobytes() == b.x.tobytes()
+            np.testing.assert_array_equal(a.labels, b.labels)
+
+
+class TestIdxCorruption:
+    """Every truncation and single-bit flip of a 3-image file, read from disk.
+
+    IDX carries no checksum, so a flipped payload bit loads; every other
+    corruption must raise one of the module's documented errors.
+    """
+
+    IDX_ERRORS = (IdxTruncatedError, IdxFormatError)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        imgs, labels = synthetic_images(3, seed=18)
+        ip, lp = write_idx_pair(tmp_path, imgs, labels, "test")
+        return imgs, labels, ip, lp
+
+    @staticmethod
+    def flipped(blob: bytes, bit: int) -> bytes:
+        out = bytearray(blob)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+
+    def test_every_truncated_prefix_raises(self, files):
+        _, _, ip, lp = files
+        for path, read in ((ip, data.read_idx_images), (lp, data.read_idx_labels)):
+            for n in range(path.stat().st_size - 1, -1, -1):
+                os.truncate(path, n)
+                with pytest.raises(self.IDX_ERRORS):
+                    read(path)
+
+    def test_every_header_bit_flip_raises(self, files, tmp_path):
+        _, _, ip, lp = files
+        bad = tmp_path / "bad"
+        for path, read, header in (
+            (ip, data.read_idx_images, 16),
+            (lp, data.read_idx_labels, 8),
+        ):
+            blob = path.read_bytes()
+            for bit in range(8 * header):
+                bad.write_bytes(self.flipped(blob, bit))
+                with pytest.raises(self.IDX_ERRORS):
+                    read(bad)
+
+    def test_a_payload_bit_flip_changes_only_its_pixel(self, files, tmp_path):
+        """Every payload bit through the parser, one bit per byte through a file."""
+        imgs, _, ip, _ = files
+        blob = ip.read_bytes()
+        bad = tmp_path / "bad"
+        flat = imgs.reshape(-1)
+        buf = np.frombuffer(blob, dtype=np.uint8).copy()  # what the reader returns
+        for bit in range(8 * 16, 8 * len(blob)):
+            byte, mask = divmod(bit, 8)
+            buf[byte] ^= 1 << mask
+            if mask == byte % 8:
+                bad.write_bytes(buf.tobytes())
+                got = data.read_idx_images(bad).reshape(-1)
+            else:
+                got = data.load_idx_images(buf).reshape(-1)
+            assert np.flatnonzero(got != flat).tolist() == [byte - 16]
+            assert got[byte - 16] == flat[byte - 16] ^ (1 << mask)
+            buf[byte] ^= 1 << mask
+
+    def test_a_label_bit_flip_loads_or_is_out_of_range(self, files, tmp_path):
+        _, labels, _, lp = files
+        blob = lp.read_bytes()
+        bad = tmp_path / "bad"
+        loaded = rejected = 0
+        for bit in range(8 * 8, 8 * len(blob)):
+            bad.write_bytes(self.flipped(blob, bit))
+            i = bit // 8 - 8
+            value = labels[i] ^ (1 << (bit % 8))
+            if value > 9:
+                with pytest.raises(
+                    ValueError, match=f"^label value {value} at index {i} out of range 0..9$"
+                ):
+                    data.read_idx_labels(bad)
+                rejected += 1
+            else:
+                got = data.read_idx_labels(bad)
+                assert np.flatnonzero(got != labels).tolist() == [i]
+                loaded += 1
+        assert loaded and rejected
 
 
 def float_fold_oracle(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

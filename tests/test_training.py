@@ -1,6 +1,7 @@
 """Loss, optimizers, the training loop, checkpoints, and grad_check."""
 
 import math
+import os
 import sys
 import threading
 import time
@@ -22,6 +23,7 @@ from qocnn.data import Batch, Dataset
 from qocnn.model import ModelGraph
 from qocnn.training import (
     AdamOptimizer,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -657,6 +659,71 @@ class TestCheckpoints:
         stored = ", ".join(s.kind for s in tiny_model(arch).specs)
         expected = ", ".join(s.kind for s in model_mod.architecture_specs(label))
         assert stored in msg and expected in msg
+
+    @staticmethod
+    def tiny_qocnn_blob(tmp_path) -> tuple[ModelGraph, bytes]:
+        m = model_mod.new_model(
+            "qocnn", seed=31, in_dim=8, hidden=2, classes=2,
+            conv_k=2, conv_s=1, pool_w=2, pool_p=2,
+        )
+        save_checkpoint(m, tmp_path / "tiny.ckpt")
+        return m, (tmp_path / "tiny.ckpt").read_bytes()
+
+    def test_every_bit_flip_and_truncation_raises_a_checkpoint_error(self, tmp_path):
+        _, blob = self.tiny_qocnn_blob(tmp_path)
+        assert blob[4:8] == (2).to_bytes(4, "little")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        fd = os.open(bad, os.O_WRONLY)
+        try:
+            for bit in range(8 * len(blob)):
+                i = bit // 8
+                os.pwrite(fd, bytes([blob[i] ^ (1 << (bit % 8))]), i)
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(bad)
+                os.pwrite(fd, blob[i : i + 1], i)
+        finally:
+            os.close(fd)
+        assert bad.read_bytes() == blob
+        for n in range(len(blob) - 1, -1, -1):
+            os.truncate(bad, n)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+
+    def test_a_flipped_weight_bit_fails_the_crc(self, tmp_path):
+        _, blob = self.tiny_qocnn_blob(tmp_path)
+        flipped = bytearray(blob)
+        flipped[-12] ^= 0x01  # low mantissa bit of the last weight's imaginary part
+        (tmp_path / "bad.ckpt").write_bytes(bytes(flipped))
+        with pytest.raises(CheckpointFormatError, match="^checkpoint CRC32 mismatch: "):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_an_invalid_layer_names_it(self, tmp_path):
+        path = tmp_path / "onn.ckpt"
+        save_checkpoint(model_mod.new_model("onn", seed=1), path)
+        blob = bytearray(path.read_bytes())
+        blob[32] ^= 0x01  # the first layer's kind id: complex_linear -> sinusoid
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            CheckpointFormatError,
+            match=r"^checkpoint layer 0 \(sinusoid\) is invalid: sinusoid requires lam > 0$",
+        ):
+            load_checkpoint(path)
+
+    def test_a_version_1_file_still_loads_bitwise(self, tmp_path):
+        m, blob = self.tiny_qocnn_blob(tmp_path)
+        # version 1: the same layout with version 1 and no trailing CRC32
+        v1 = b"QOCN" + (1).to_bytes(4, "little") + blob[8:-4]
+        (tmp_path / "v1.ckpt").write_bytes(v1)
+        loaded = load_checkpoint(tmp_path / "v1.ckpt")
+        assert loaded.arch == m.arch and loaded.specs == m.specs
+        assert loaded.seed == m.seed and loaded.meta == m.meta
+        for pa, pb in zip(m.params, loaded.params):
+            assert sorted(pa) == sorted(pb)
+            for name in pa:
+                assert pa[name].tobytes() == pb[name].tobytes()
+        save_checkpoint(loaded, tmp_path / "v2.ckpt")
+        assert (tmp_path / "v2.ckpt").read_bytes() == blob
 
     def test_trained_model_round_trip(self, tmp_path):
         train_ds, test_ds = small_datasets(n_train=64, n_test=32)
