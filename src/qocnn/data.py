@@ -9,8 +9,6 @@ batch is folded when it is read.
 
 from __future__ import annotations
 
-import os
-import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,18 +28,17 @@ class IdxTruncatedError(ValueError):
     """Raised when an IDX payload is shorter or longer than its header claims."""
 
 
-def _check_payload(data: bytes | np.ndarray, expected: int, what: str) -> None:
+def _check_payload(data: bytes, expected: int, what: str) -> None:
     if len(data) != expected:
         raise IdxTruncatedError(
             f"{what}: expected {expected} bytes total, got {len(data)}"
         )
 
 
-def load_idx_images(data: bytes | np.ndarray) -> np.ndarray:
+def load_idx_images(data: bytes) -> np.ndarray:
     """Parse an IDX image file into a uint8 array of shape (count, rows, cols).
 
-    `data` is the whole file as `bytes` or a 1-D uint8 array; the result is
-    a view of it, read-only for `bytes`.
+    The result is a view of `data`, not a copy; read-only for `bytes`.
     """
     if len(data) < 16:
         raise IdxTruncatedError(
@@ -57,11 +54,10 @@ def load_idx_images(data: bytes | np.ndarray) -> np.ndarray:
     return pixels.reshape(count, rows, cols)
 
 
-def load_idx_labels(data: bytes | np.ndarray) -> np.ndarray:
+def load_idx_labels(data: bytes) -> np.ndarray:
     """Parse an IDX label file into a uint8 array of shape (count,).
 
-    `data` is the whole file as `bytes` or a 1-D uint8 array; the result is
-    a view of it, read-only for `bytes`.
+    The result is a view of `data`, not a copy; read-only for `bytes`.
     """
     if len(data) < 8:
         raise IdxTruncatedError(
@@ -82,35 +78,12 @@ def load_idx_labels(data: bytes | np.ndarray) -> np.ndarray:
     return labels
 
 
-def _read_file(path: str | Path) -> np.ndarray:
-    """The whole file as a uint8 array, read once straight into it.
-
-    The array is sized from the file, never from its header, so a corrupt
-    count cannot ask for memory; a short read leaves the array short, and
-    the parser's payload check reports it.  No mmap: a file truncated under
-    a live mapping would end the process with SIGBUS.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            # a pipe, say `<(gunzip -c ...)`, has no size to allocate from
-            return np.frombuffer(fh.read(), dtype=np.uint8)
-        buf = np.empty(st.st_size, dtype=np.uint8)
-        got = 0
-        while got < buf.size:
-            n = fh.readinto(buf[got:])
-            if not n:
-                break
-            got += n
-    return buf[:got]
-
-
 def read_idx_images(path: str | Path) -> np.ndarray:
-    return load_idx_images(_read_file(path))
+    return load_idx_images(Path(path).read_bytes())
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
-    return load_idx_labels(_read_file(path))
+    return load_idx_labels(Path(path).read_bytes())
 
 
 FOLD = 392  # complex entries per image: 14 rows of 28 pixels per half

@@ -192,27 +192,12 @@ def confusion_csv(cm: ConfusionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _formatted_once(values: np.ndarray) -> list[str]:
-    """'%.10g' text of each value, formatting each distinct bit pattern once.
-
-    A rate takes one of count + 1 values, so most rows repeat an earlier
-    one; keying on the bits keeps -0.0 and NaN payloads apart.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = ["%.10g" % v for v in distinct.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
-
-
 def roc_csv(curve: RocCurve) -> str:
-    # one %-format call for the whole body; the same text as an f-string
-    # per numpy scalar
-    n = len(curve.thresholds)
-    cells = [None] * (3 * n)
-    cells[0::3] = curve.thresholds.tolist()
-    cells[1::3] = _formatted_once(curve.fpr)
-    cells[2::3] = _formatted_once(curve.tpr)
-    return "threshold,fpr,tpr\n" + "%.10g,%s,%s\n" * n % tuple(cells)
+    # %-formatting of Python floats, one call per row, is the same text as
+    # an f-string per numpy scalar at about half the cost
+    rows = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
+    body = "".join("%.10g,%.10g,%.10g\n" % row for row in rows)
+    return "threshold,fpr,tpr\n" + body
 
 
 def auc_summary_csv(curves: list[RocCurve]) -> str:
