@@ -398,34 +398,55 @@ def _from_blocks(blocks: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
     return out
 
 
+def real_embedding(kernel: np.ndarray) -> np.ndarray:
+    """The 2k x 2k float64 matrix E with xf @ E the interleaved float view of
+    x @ K for any complex row x seen as xf: entry a + ib of K becomes the
+    block [[a, b], [-b, a]].  The embedding of K^H is E^T, bit for bit."""
+    k = kernel.shape[0]
+    e = np.empty((2 * k, 2 * k))
+    e[0::2, 0::2] = kernel.real
+    e[0::2, 1::2] = kernel.imag
+    e[1::2, 0::2] = -kernel.imag
+    e[1::2, 1::2] = kernel.real
+    return e
+
+
 def conv_forward(x: np.ndarray, plan: ConvPlan) -> tuple[np.ndarray, tuple]:
-    """y = x @ M_1 @ ... @ M_n, each M_i applied as one batched block matmul."""
+    """y = x @ M_1 @ ... @ M_n, each M_i applied as one batched block product
+    in real arithmetic: the (b * k_tot, k) block inputs, seen as interleaved
+    (b * k_tot, 2k) floats, times the real embedding of the kernel."""
     _require_batch(x, plan.d, "quantum_conv")
+    e = real_embedding(plan.kernel)
     blocks = []
     y = x
     for i in range(plan.n):
-        blocks.append(_to_blocks(y, plan, i))
-        y = _from_blocks(blocks[-1] @ plan.kernel, plan, i)
-    return y, (blocks, plan)
+        blocks.append(_float_view(_to_blocks(y, plan, i)))
+        y = _from_blocks((blocks[-1] @ e).view(np.complex128), plan, i)
+    return y, (blocks, plan, e)
 
 
 def conv_backward(
     grad_out: np.ndarray, cache: tuple, *, need_input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """The forward's blocks in reverse: the input gradient goes through K^H,
-    and the kernel gradient sums block input^H @ block output gradient over
-    all blocks of all composition matrices.  Without need_input_grad the
-    input gradient of M_1 is never formed and None is returned for it."""
-    blocks, plan = cache
-    k_h = plan.kernel.conj().T
-    grad_k = np.zeros((plan.k, plan.k), dtype=np.complex128)
+    """The forward's blocks in reverse: the input gradient goes through E^T,
+    the embedding of K^H.  R, the sum of block input^T @ block output
+    gradient over all blocks of all composition matrices, folds to the
+    kernel gradient x^H g as (R_re,re + R_im,im) + i (R_re,im - R_im,re).
+    Without need_input_grad the input gradient of M_1 is never formed and
+    None is returned for it."""
+    blocks, plan, e = cache
+    r = np.zeros((2 * plan.k, 2 * plan.k))
     g = grad_out
     for i in reversed(range(plan.n)):
-        g_blocks = _to_blocks(g, plan, i)
-        grad_k += blocks[i].conj().T @ g_blocks
+        g_blocks = _float_view(_to_blocks(g, plan, i))
+        r += blocks[i].T @ g_blocks
         if i == 0 and not need_input_grad:
-            return None, grad_k
-        g = _from_blocks(g_blocks @ k_h, plan, i)
+            g = None
+            break
+        g = _from_blocks((g_blocks @ e.T).view(np.complex128), plan, i)
+    grad_k = np.empty((plan.k, plan.k), dtype=np.complex128)
+    grad_k.real = r[0::2, 0::2] + r[1::2, 1::2]
+    grad_k.imag = r[0::2, 1::2] - r[1::2, 0::2]
     return g, grad_k
 
 
@@ -470,9 +491,11 @@ def split_max_pool_forward(
 ) -> tuple[np.ndarray, tuple]:
     """1-D max pooling applied independently to the real and imaginary halves.
 
-    Per window the argmax index is cached; ties resolve to the lowest index
-    and the first NaN wins.  One gather from the interleaved float view reads
-    both halves, so a non-finite value never reaches the other half.
+    Each window's maximum is an np.maximum over strided slices of the
+    interleaved float view, so a non-finite value never reaches the other
+    half and the first NaN wins.  Only values are formed; the input stays on
+    the tape and the backward finds the argmax (see pool_sources).  A window
+    whose maximum is a zero of either sign may output either sign.
     """
     if w < 1 or p < 1:
         raise ValueError("pooling window and stride must be >= 1")
@@ -482,10 +505,24 @@ def split_max_pool_forward(
             f"{x.shape[1] if x.ndim == 2 else '?'}"
         )
     xf = _float_view(x)
-    re_src = _window_argmax(xf[:, 0::2], w, p)
-    im_src = _window_argmax(xf[:, 1::2], w, p)
-    y = np.take(xf, _pool_slots(re_src, im_src, x.shape[1])).view(np.complex128)
-    return y, (x.shape, re_src, im_src)
+    m = pooled_len(x.shape[1], w, p)
+    span = p * (m - 1) + 1
+    y = np.empty((x.shape[0], 2 * m))
+    for h in (0, 1):  # one half at a time, so each slice runs the length of a row
+        half = xf[:, h::2]
+        best = half[:, :span:p]
+        for j in range(1, w):
+            best = np.maximum(best, half[:, j : j + span : p])
+        y[:, h::2] = best
+    return y.view(np.complex128), (xf, w, p)
+
+
+def pool_sources(cache: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(re_src, im_src): the input column of every output's window maximum in
+    each half, from the cache of a split_max_pool tape node.  Ties go to the
+    lowest index and the first NaN wins, as np.argmax picks."""
+    xf, w, p = cache
+    return _window_argmax(xf[:, 0::2], w, p), _window_argmax(xf[:, 1::2], w, p)
 
 
 def split_max_pool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
@@ -494,13 +531,14 @@ def split_max_pool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     sums np.add.at would form on each half, so overlapping windows (p < w)
     agree bit for bit.
     """
-    shape, re_src, im_src = cache
+    xf = cache[0]
+    b, n = xf.shape[0], xf.shape[1] // 2
     grad = np.bincount(
-        _pool_slots(re_src, im_src, shape[1]).ravel(),
+        _pool_slots(*pool_sources(cache), n).ravel(),
         weights=_float_view(grad_out).ravel(),
-        minlength=2 * shape[0] * shape[1],
+        minlength=xf.size,
     )
-    return grad.view(np.complex128).reshape(shape)
+    return grad.view(np.complex128).reshape(b, n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data, fileio, model as model_mod
 from .data import Batch, Dataset
-from .layers import LAYER_KINDS, LayerSpec, NonFiniteError, TapeNode
+from .layers import LAYER_KINDS, LayerSpec, NonFiniteError, TapeNode, pool_sources
 from .model import ARCHITECTURES, ModelGraph, model_backward, model_forward
 
 LOSS_DIVERGENCE_CAP = 10.0 * math.log(10.0)
@@ -606,8 +606,7 @@ def _branch_signature(nodes: list[TapeNode]) -> tuple:
     sig = []
     for node in nodes:
         if node.spec.kind == "split_max_pool":
-            _, re_src, im_src = node.cache
-            sig.append((re_src.tobytes(), im_src.tobytes()))
+            sig.append(tuple(src.tobytes() for src in pool_sources(node.cache)))
         elif node.spec.kind == "mod_softplus":
             *_, safe = node.cache
             sig.append(safe.tobytes())

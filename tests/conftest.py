@@ -168,8 +168,9 @@ def tiny_batch(model: model_mod.ModelGraph, seed: int = 1, n: int = 4) -> data.B
 
 # ---------------------------------------------------------------------------
 # oracles: the code paths that rebuilt complex arrays as re + 1j*im, before
-# the layers moved to the interleaved float view.  Each matches its
-# replacement bit for bit on finite data.
+# the layers moved to the interleaved float view.  Each in HOT_PATH_ORACLES
+# matches its replacement bit for bit on finite data; the complex-arithmetic
+# conv does not (its sums run in another order) and is checked within 1e-12.
 
 
 def pool_half_oracle(a: np.ndarray, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,6 +228,32 @@ def from_blocks_oracle(blocks: np.ndarray, plan, i: int) -> np.ndarray:
     out = np.zeros((b, plan.d), dtype=blocks.dtype)
     out[:, shift:] = padded.reshape(b, -1)[:, : plan.d - shift]
     return out
+
+
+def conv_forward_oracle(x: np.ndarray, plan) -> tuple[np.ndarray, tuple]:
+    """The conv as complex block products: (b * k_tot, k) blocks @ K."""
+    blocks = []
+    y = x
+    for i in range(plan.n):
+        blocks.append(to_blocks_oracle(y, plan, i))
+        y = from_blocks_oracle(blocks[-1] @ plan.kernel, plan, i)
+    return y, (blocks, plan)
+
+
+def conv_backward_oracle(grad_out, cache, *, need_input_grad=True):
+    """Input gradient through K^H, kernel gradient as the sum of
+    block input^H @ block output gradient, both in complex arithmetic."""
+    blocks, plan = cache
+    k_h = plan.kernel.conj().T
+    grad_k = np.zeros((plan.k, plan.k), dtype=np.complex128)
+    g = grad_out
+    for i in reversed(range(plan.n)):
+        g_blocks = to_blocks_oracle(g, plan, i)
+        grad_k += blocks[i].conj().T @ g_blocks
+        if i == 0 and not need_input_grad:
+            return None, grad_k
+        g = from_blocks_oracle(g_blocks @ k_h, plan, i)
+    return g, grad_k
 
 
 def batch_iter_oracle(ds: data.Dataset, batch_size: int, seed: int):

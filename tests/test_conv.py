@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FD_TOL, fd_grad, max_rel_err, packed_view, random_complex
+from conftest import (
+    FD_TOL,
+    conv_backward_oracle,
+    conv_forward_oracle,
+    fd_grad,
+    max_rel_err,
+    packed_view,
+    random_complex,
+)
 from qocnn import data, layers, model, training
 
 
@@ -292,6 +300,74 @@ class TestBlockPathMatchesDense:
         assert "matrices" not in vars(plan) and "m_f" not in vars(plan)
         assert plan.m_f is plan.m_f
         assert plan.matrices is plan.matrices
+
+
+class TestRealArithmeticMatchesComplexOracle:
+    """The conv in real arithmetic on the float view against the complex
+    block products it replaced (conftest), which sum in another order."""
+
+    @pytest.mark.parametrize("need_input_grad", [True, False])
+    def test_output_and_gradients_within_1e12_relative(self, need_input_grad):
+        rng = np.random.default_rng(21)
+        for d, k, s in [*all_cases(), (392, 4, 2), (20, 5, 2)]:
+            plan = layers.build_conv_plan(random_complex(rng, (k, k)), d, k, s)
+            x = random_complex(rng, (3, d))
+            g = random_complex(rng, (3, d))
+            y, cache = layers.conv_forward(x, plan)
+            want_y, want_cache = conv_forward_oracle(x, plan)
+            gx, gk = layers.conv_backward(g, cache, need_input_grad=need_input_grad)
+            want_gx, want_gk = conv_backward_oracle(
+                g, want_cache, need_input_grad=need_input_grad
+            )
+            case = f"(d={d}, k={k}, s={s})"
+            assert rel_err(y, want_y) <= 1e-12, f"y {case}"
+            assert rel_err(gk, want_gk) <= 1e-12, f"grad_K {case}"
+            if need_input_grad:
+                assert rel_err(gx, want_gx) <= 1e-12, f"grad_x {case}"
+            else:
+                assert gx is None and want_gx is None
+
+    def test_column_slices_give_the_bytes_of_contiguous_copies(self):
+        rng = np.random.default_rng(22)
+        for d, k, s in [(392, 4, 2), (20, 5, 2), (12, 4, 4), (7, 3, 1)]:
+            plan = layers.build_conv_plan(random_complex(rng, (k, k)), d, k, s)
+            x = random_complex(rng, (5, 2 * d))[:, ::2]
+            g = random_complex(rng, (5, 2 * d))[:, 1::2]
+            assert not x.flags.c_contiguous and not g.flags.c_contiguous
+            got = []
+            for xs, gs in ((x, g), (x.copy(), g.copy())):
+                y, cache = layers.conv_forward(xs, plan)
+                got.append(
+                    b"".join(a.tobytes() for a in (y, *layers.conv_backward(gs, cache)))
+                )
+            assert got[0] == got[1], (d, k, s)
+
+
+class TestRealEmbedding:
+    def test_conjugate_transpose_is_transpose_bitwise(self):
+        rng = np.random.default_rng(23)
+        for k in range(1, 7):
+            kernel = random_complex(rng, (k, k))
+            e = layers.real_embedding(kernel)
+            assert e.shape == (2 * k, 2 * k)
+            assert layers.real_embedding(kernel.conj().T).tobytes() == e.T.tobytes()
+
+    def test_product_is_homomorphic_within_1e15(self):
+        rng = np.random.default_rng(24)
+        for k in range(1, 7):
+            for _ in range(20):
+                a, b = random_complex(rng, (k, k)), random_complex(rng, (k, k))
+                assert rel_err(
+                    layers.real_embedding(a) @ layers.real_embedding(b),
+                    layers.real_embedding(a @ b),
+                ) <= 1e-15
+
+    def test_row_product_is_the_float_view_of_the_complex_product(self):
+        rng = np.random.default_rng(25)
+        kernel = random_complex(rng, (4, 4))
+        x = random_complex(rng, (6, 4))
+        got = (x.view(np.float64) @ layers.real_embedding(kernel)).view(np.complex128)
+        assert rel_err(got, x @ kernel) <= 1e-15
 
 
 class TestHotPathIsBlockWise:

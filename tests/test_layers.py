@@ -427,8 +427,8 @@ class TestSplitMaxPool:
             assert g.real.sum() == 1.0 and g.imag.sum() == 1.0
 
     def test_backward_matches_add_at_oracle_bitwise(self):
-        def add_at_backward(grad_out, cache):
-            shape, re_src, im_src = cache
+        def add_at_backward(grad_out, shape, cache):
+            re_src, im_src = layers.pool_sources(cache)
             rows = np.arange(shape[0])[:, None]
             grad_re = np.zeros(shape, dtype=np.float64)
             grad_im = np.zeros(shape, dtype=np.float64)
@@ -444,7 +444,8 @@ class TestSplitMaxPool:
                 _, cache = layers.split_max_pool_forward(x, w, p)
                 g = random_complex(rng, (b, layers.pooled_len(40, w, p)))
                 assert same_bits(
-                    layers.split_max_pool_backward(g, cache), add_at_backward(g, cache)
+                    layers.split_max_pool_backward(g, cache),
+                    add_at_backward(g, x.shape, cache),
                 ), f"w={w}, p={p}, b={b}"
 
     def test_forward_matches_argmax_oracle(self):
@@ -461,13 +462,32 @@ class TestSplitMaxPool:
                 im_vals, im_src = pool_half_oracle(im, w, p)
                 for x in (complex_from(re, im), wide[:, ::2]):  # and non-contiguous
                     y, cache = layers.split_max_pool_forward(x, w, p)
-                    shape, got_re_src, got_im_src = cache
+                    got_re_src, got_im_src = layers.pool_sources(cache)
+                    shape = layers.split_max_pool_backward(np.zeros_like(y), cache).shape
                     case = f"w={w}, p={p}, b={b}, contiguous={x.flags.c_contiguous}"
                     assert shape == x.shape, case
                     assert same_bits(got_re_src, re_src), case
                     assert same_bits(got_im_src, im_src), case
                     assert same_bits(y.real, re_vals), case
                     assert same_bits(y.imag, im_vals), case
+
+    @pytest.mark.parametrize("w,p", [(2, 2), (3, 1), (4, 3)])
+    def test_first_nan_of_a_window_keeps_its_payload(self, w, p):
+        """Every (w, p) here has windows holding both NaNs, in both orders."""
+        first = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)[0]
+        second = np.frombuffer(np.uint64(0x7FF8000000000002).tobytes(), np.float64)[0]
+        half = np.array([[1.0, first, second, 2.0, second, first, 3.0]])
+        y, _ = layers.split_max_pool_forward(complex_from(half, -half), w, p)
+        for got, want in ((y.real, half), (y.imag, -half)):
+            want_vals, _ = pool_half_oracle(want, w, p)
+            assert same_bits(got, want_vals), (w, p)
+
+    def test_signed_zero_window(self):
+        x = complex_from(np.array([[-0.0, 0.0]]), np.array([[-0.0, 0.0]]))
+        y, cache = layers.split_max_pool_forward(x, 2, 2)
+        assert y.real[0, 0] == 0 and y.imag[0, 0] == 0  # either sign
+        g = layers.split_max_pool_backward(np.array([[3.0 + 4.0j]]), cache)
+        assert same_bits(g, np.array([[3.0 + 4.0j, 0.0]]))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_stays_in_its_half(self, bad):

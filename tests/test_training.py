@@ -424,6 +424,31 @@ class TestBackwardSkipsInputGradient:
             assert n > 1 and from_blocks_stages == list(range(n - 1, 0, -1))
 
 
+class TestPoolArgmaxOnlyInBackward:
+    def test_forward_and_predict_form_no_argmax(self, monkeypatch):
+        calls = []
+        window_argmax = layers._window_argmax
+
+        def counting(*args):
+            calls.append(args)
+            return window_argmax(*args)
+
+        def forbidden(*args):
+            raise AssertionError("a pool argmax was formed")
+
+        m = model_mod.new_model("qocnn", seed=8)
+        ds, _ = small_datasets(n_train=300)  # two predict chunks, one short
+        monkeypatch.setattr(layers, "_window_argmax", forbidden)
+        log_probs, _ = model_mod.model_forward(m, ds.complex_rows(slice(None)))
+        assert training.predict_log_probs(m, ds).tobytes() == log_probs.tobytes()
+        monkeypatch.setattr(layers, "_window_argmax", counting)
+        batch = Batch(x=ds.complex_rows(slice(0, 64)), labels=ds.labels[:64])
+        _, tape = forward_loss(m, batch)
+        assert calls == []
+        backward(m, tape)
+        assert len(calls) == 2  # the real and the imaginary half, once each
+
+
 def scaled_model(arch: str, factor: float) -> ModelGraph:
     m = model_mod.new_model(arch, seed=5)
     for p in m.params:
@@ -454,6 +479,14 @@ class TestThreadedPredict:
         self.workers(monkeypatch, n_workers)
         got = training.predict_log_probs(m, rows_1000)
         assert got.tobytes() == predict_log_probs_oracle(m, rows_1000).tobytes()
+
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, arch, rows_1000):
+        m = model_mod.new_model(arch, seed=6)
+        want = training.predict_log_probs(m, rows_1000, batch_size=128).tobytes()
+        for batch_size in (2, 37, 256, 1000):
+            got = training.predict_log_probs(m, rows_1000, batch_size=batch_size)
+            assert got.tobytes() == want, batch_size
 
     @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
     def test_a_lone_last_row_joins_the_chunk_before_it(self, arch, monkeypatch):
