@@ -1,9 +1,11 @@
 """Classically simulated complex-valued optical/quantum-optical neural networks.
 
-Subpackages cover complex linear algebra through the real block embedding,
-MNIST fold-encoded data handling, layer semantics with hand-written
-backpropagation, a small training engine, classification metrics, and
-quantum-vs-classical resource arithmetic.
+Modules: `linalg` (complex matrices as paired real/imaginary arrays, SVD),
+`data` (fold-encoded MNIST IDX files), `layers` (the seven layer kinds in one
+table, with hand-derived backward passes), `model` (layer stacks),
+`training` (loss, optimizers, checkpoints, gradient check), `metrics`,
+`resources` (quantum-vs-classical arithmetic), `fileio` (atomic writes) and
+`cli`.
 """
 
 __version__ = "0.1.0"

@@ -39,9 +39,11 @@ BLAS_THREADS = _cap_threads()
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,82 +55,53 @@ EXIT_DIVERGENCE = 3
 EXIT_CHECKPOINT = 4
 EXIT_GRADCHECK = 5
 
-OPTION_TYPES = {
-    "arch": str,
-    "train_images": str,
-    "train_labels": str,
-    "test_images": str,
-    "test_labels": str,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "optimizer": str,
-    "seed": int,
-    "lam": float,
-    "conv_k": int,
-    "conv_s": int,
-    "pool_w": int,
-    "pool_p": int,
-    "patience": int,
-    "checkpoint": str,
-    "out_dir": str,
-    "out": str,
-    "layers": int,
-    "n": int,
-    "batch": int,
-    "sweep": str,
-    "eps": float,
-    "tol": float,
+
+class Option(NamedTuple):
+    """One option: its type, its default in each command that takes it, the
+    values it may take (None for any) and its help text."""
+
+    type: type
+    defaults: dict
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# The flag of key is --key with dashes, and the config key is key, except
+# for lam, whose flag and config key are "lambda".  Each command's --help
+# lists its flags in this order.
+OPTIONS = {
+    "arch": Option(str, {"train": "qonn", "evaluate": None}, model_mod.ARCHITECTURES),
+    "train_images": Option(str, {"train": None}),
+    "train_labels": Option(str, {"train": None}),
+    "test_images": Option(str, {"train": None, "evaluate": None}),
+    "test_labels": Option(str, {"train": None, "evaluate": None}),
+    "epochs": Option(int, {"train": 10}),
+    "batch_size": Option(int, {"train": 64}),
+    "lr": Option(float, {"train": 1e-3}),
+    "optimizer": Option(str, {"train": "adam"}, ("sgd", "adam")),
+    "seed": Option(int, {"train": 0, "gradcheck": 0}),
+    "lam": Option(float, {"train": 0.2}),
+    "conv_k": Option(int, {"train": 4}),
+    "conv_s": Option(int, {"train": 2}),
+    "pool_w": Option(int, {"train": 2}),
+    "pool_p": Option(int, {"train": 2}),
+    "patience": Option(int, {"train": 3}),
+    "eps": Option(float, {"gradcheck": 1e-5}),
+    "tol": Option(float, {"gradcheck": 1e-4}),
+    "checkpoint": Option(str, {"train": None, "evaluate": None, "export": None}),
+    "out": Option(str, {"export": None}),
+    "layers": Option(int, {"estimate": None}),
+    "n": Option(int, {"estimate": None}),
+    "batch": Option(int, {"estimate": None}),
+    "sweep": Option(str, {"estimate": None}, help="CSV with columns L,n,b"),
+    "out_dir": Option(
+        str, {"train": "runs", "evaluate": "runs", "estimate": None, "export": "runs"}
+    ),
 }
 
-TRAIN_DEFAULTS = {
-    "arch": "qonn",
-    "train_images": None,
-    "train_labels": None,
-    "test_images": None,
-    "test_labels": None,
-    "epochs": 10,
-    "batch_size": 64,
-    "lr": 1e-3,
-    "optimizer": "adam",
-    "seed": 0,
-    "lam": 0.2,
-    "conv_k": 4,
-    "conv_s": 2,
-    "pool_w": 2,
-    "pool_p": 2,
-    "patience": 3,
-    "checkpoint": None,
-    "out_dir": "runs",
-}
 
-EVALUATE_DEFAULTS = {
-    "arch": None,
-    "checkpoint": None,
-    "test_images": None,
-    "test_labels": None,
-    "out_dir": "runs",
-}
-
-GRADCHECK_DEFAULTS = {
-    "seed": 0,
-    "eps": 1e-5,
-    "tol": 1e-4,
-}
-
-ESTIMATE_DEFAULTS = {
-    "layers": None,
-    "n": None,
-    "batch": None,
-    "sweep": None,
-    "out_dir": None,
-}
-
-EXPORT_DEFAULTS = {
-    "checkpoint": None,
-    "out": None,
-    "out_dir": "runs",
-}
+def _flag(key: str) -> str:
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
 def _err(msg: str) -> None:
@@ -153,27 +126,33 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
-def effective_config(args, defaults: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
-    eff = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        if not Path(config_path).exists():
-            raise FileNotFoundError(f"no such config file: {config_path}")
-        for key, value in read_config_file(config_path).items():
+def effective_config(args) -> dict:
+    """The defaults of args.command, overridden by the config file, overridden
+    by explicit flags.  Config values meet the types and choices of the flags."""
+    cmd = args.command
+    eff = {k: opt.defaults[cmd] for k, opt in OPTIONS.items() if cmd in opt.defaults}
+    if args.config:
+        if not Path(args.config).exists():
+            raise FileNotFoundError(f"no such config file: {args.config}")
+        for key, value in read_config_file(args.config).items():
             if key not in eff:
                 raise ValueError(f"unknown config key {key!r}")
+            opt = OPTIONS[key]
             try:
-                eff[key] = OPTION_TYPES[key](value)
+                eff[key] = opt.type(value)
             except ValueError:
                 raise ValueError(
                     f"config key {key!r}: cannot parse {value!r} as "
-                    f"{OPTION_TYPES[key].__name__}"
+                    f"{opt.type.__name__}"
                 ) from None
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            eff[key] = value
+            if opt.choices is not None and eff[key] not in opt.choices:
+                raise ValueError(
+                    f"config key {key!r}: {value!r} is not one of "
+                    f"{', '.join(opt.choices)}"
+                )
+    for key in eff:
+        if getattr(args, key) is not None:
+            eff[key] = getattr(args, key)
     return eff
 
 
@@ -188,9 +167,8 @@ def config_lines(command: str, eff: dict) -> list[str]:
 def _require_files(eff: dict, keys: list[str]) -> str | None:
     """Returns an error message if any required path is absent or missing."""
     for key in keys:
-        flag = "--" + key.replace("_", "-")
         if eff[key] is None:
-            return f"{flag} is required"
+            return f"{_flag(key)} is required"
         if not Path(eff[key]).exists():
             return f"no such file: {eff[key]}"
     return None
@@ -225,12 +203,7 @@ def _non_finite_message(model, ds, exc: layers.NonFiniteError) -> str:
 # Non-finite values are caught and reported with their exit code, so numpy's
 # overflow and invalid-value warnings would only repeat them on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_train(args) -> int:
-    try:
-        eff = effective_config(args, TRAIN_DEFAULTS)
-    except (ValueError, FileNotFoundError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+def cmd_train(eff: dict) -> int:
     problem = _require_files(
         eff, ["train_images", "train_labels", "test_images", "test_labels"]
     ) or _out_dir_problem(eff)
@@ -298,12 +271,7 @@ def cmd_train(args) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_evaluate(args) -> int:
-    try:
-        eff = effective_config(args, EVALUATE_DEFAULTS)
-    except (ValueError, FileNotFoundError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+def cmd_evaluate(eff: dict) -> int:
     problem = _require_files(
         eff, ["checkpoint", "test_images", "test_labels"]
     ) or _out_dir_problem(eff)
@@ -375,12 +343,7 @@ def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batc
     return model, data.Batch(x=x, labels=labels)
 
 
-def cmd_gradcheck(args) -> int:
-    try:
-        eff = effective_config(args, GRADCHECK_DEFAULTS)
-    except (ValueError, FileNotFoundError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+def cmd_gradcheck(eff: dict) -> int:
     for line in config_lines("gradcheck", eff):
         print(line)
     all_ok = True
@@ -411,12 +374,7 @@ def _read_sweep_file(path) -> list[resources.WorkloadSpec]:
         ]
 
 
-def cmd_estimate(args) -> int:
-    try:
-        eff = effective_config(args, ESTIMATE_DEFAULTS)
-    except (ValueError, FileNotFoundError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+def cmd_estimate(eff: dict) -> int:
     if eff["sweep"] is not None:
         if not Path(eff["sweep"]).exists():
             _err(f"no such file: {eff['sweep']}")
@@ -453,12 +411,7 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    try:
-        eff = effective_config(args, EXPORT_DEFAULTS)
-    except (ValueError, FileNotFoundError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+def cmd_export(eff: dict) -> int:
     problem = _require_files(eff, ["checkpoint"])
     if problem:
         _err(problem)
@@ -473,19 +426,7 @@ def cmd_export(args) -> int:
         "seed": model.seed,
         "lam": model.meta.get("lam"),
         "num_real_params": model.num_params(),
-        "layers": [
-            {
-                "kind": s.kind,
-                "in_dim": s.in_dim,
-                "out_dim": s.out_dim,
-                "lam": s.lam,
-                "k": s.k,
-                "s": s.s,
-                "w": s.w,
-                "p": s.p,
-            }
-            for s in model.specs
-        ],
+        "layers": [dataclasses.asdict(s) for s in model.specs],  # LayerSpec fields
     }
     out = Path(eff["out"]) if eff["out"] else Path(eff["out_dir"]) / "model.json"
     fileio.atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
@@ -497,8 +438,13 @@ def cmd_export(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value file; flags override it")
+COMMANDS = {
+    "train": (cmd_train, "train a model and write checkpoint + history"),
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint on a test set"),
+    "gradcheck": (cmd_gradcheck, "finite-difference check on tiny models"),
+    "estimate": (cmd_estimate, "quantum-vs-classical resource arithmetic"),
+    "export": (cmd_export, "dump checkpoint structure as JSON"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,66 +453,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and train ONN/QONN/QOCNN models on folded MNIST.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("train", help="train a model and write checkpoint + history")
-    _add_common(t)
-    t.add_argument("--arch", choices=model_mod.ARCHITECTURES)
-    t.add_argument("--train-images")
-    t.add_argument("--train-labels")
-    t.add_argument("--test-images")
-    t.add_argument("--test-labels")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--optimizer", choices=("sgd", "adam"))
-    t.add_argument("--seed", type=int)
-    t.add_argument("--lambda", dest="lam", type=float)
-    t.add_argument("--conv-k", type=int)
-    t.add_argument("--conv-s", type=int)
-    t.add_argument("--pool-w", type=int)
-    t.add_argument("--pool-p", type=int)
-    t.add_argument("--patience", type=int)
-    t.add_argument("--checkpoint")
-    t.add_argument("--out-dir")
-    t.set_defaults(func=cmd_train)
-
-    e = sub.add_parser("evaluate", help="evaluate a checkpoint on a test set")
-    _add_common(e)
-    e.add_argument("--arch", choices=model_mod.ARCHITECTURES)
-    e.add_argument("--checkpoint")
-    e.add_argument("--test-images")
-    e.add_argument("--test-labels")
-    e.add_argument("--out-dir")
-    e.set_defaults(func=cmd_evaluate)
-
-    g = sub.add_parser("gradcheck", help="finite-difference check on tiny models")
-    _add_common(g)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--eps", type=float)
-    g.add_argument("--tol", type=float)
-    g.set_defaults(func=cmd_gradcheck)
-
-    s = sub.add_parser("estimate", help="quantum-vs-classical resource arithmetic")
-    _add_common(s)
-    s.add_argument("--layers", type=int)
-    s.add_argument("--n", type=int)
-    s.add_argument("--batch", type=int)
-    s.add_argument("--sweep", help="CSV with columns L,n,b")
-    s.add_argument("--out-dir")
-    s.set_defaults(func=cmd_estimate)
-
-    x = sub.add_parser("export", help="dump checkpoint structure as JSON")
-    _add_common(x)
-    x.add_argument("--checkpoint")
-    x.add_argument("--out")
-    x.add_argument("--out-dir")
-    x.set_defaults(func=cmd_export)
+    for command, (_, help_text) in COMMANDS.items():
+        c = sub.add_parser(command, help=help_text)
+        c.add_argument("--config", help="key = value file; flags override it")
+        for key, opt in OPTIONS.items():
+            if command in opt.defaults:
+                c.add_argument(
+                    _flag(key), dest=key, type=opt.type, choices=opt.choices,
+                    help=opt.help,
+                )
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        eff = effective_config(args)
+    except (ValueError, FileNotFoundError) as exc:
+        _err(str(exc))
+        return EXIT_USAGE
+    return COMMANDS[args.command][0](eff)
 
 
 def entrypoint() -> None:

@@ -16,19 +16,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-LAYER_KINDS = (
-    "complex_linear",
-    "sinusoid",
-    "mod_softplus",
-    "mod_squared",
-    "log_softmax",
-    "quantum_conv",
-    "split_max_pool",
-)
 
 # Complex entries with modulus below this are routed to the zero branch of
 # the modulus-softplus nonlinearity.
@@ -56,38 +46,11 @@ class LayerSpec:
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("layer dimensions must be positive")
-        if self.kind == "sinusoid":
-            if self.lam is None or self.lam <= 0:
-                raise ValueError("sinusoid requires lam > 0")
-        if self.kind in ("sinusoid", "mod_softplus", "mod_squared", "log_softmax"):
-            if self.out_dim != self.in_dim:
-                raise ValueError(f"{self.kind} must preserve dimension")
-        if self.kind == "quantum_conv":
-            if self.k is None or self.s is None:
-                raise ValueError("quantum_conv requires kernel side k and stepsize s")
-            if self.s < 1:
-                raise ValueError(f"stepsize must be >= 1, got {self.s}")
-            if not 1 <= self.k <= self.in_dim:
-                raise ValueError(
-                    f"kernel side {self.k} must lie in 1..{self.in_dim}"
-                )
-            if self.out_dim != self.in_dim:
-                raise ValueError("quantum_conv maps D to D")
-        if self.kind == "split_max_pool":
-            if self.w is None or self.p is None:
-                raise ValueError("split_max_pool requires window w and stride p")
-            if self.w < 1 or self.p < 1:
-                raise ValueError("pooling window and stride must be >= 1")
-            if self.w > self.in_dim:
-                raise ValueError(
-                    f"pooling window {self.w} exceeds input length {self.in_dim}"
-                )
-            if self.out_dim != pooled_len(self.in_dim, self.w, self.p):
-                raise ValueError("split_max_pool out_dim inconsistent with (w, p)")
+        KINDS[self.kind].check(self)
 
 
 def pooled_len(n: int, w: int, p: int) -> int:
@@ -542,36 +505,143 @@ def split_max_pool_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# uniform dispatch
+# the table of layer kinds
+
+
+def _same_dim(spec: LayerSpec) -> None:
+    if spec.out_dim != spec.in_dim:
+        raise ValueError(f"{spec.kind} must preserve dimension")
+
+
+def _check_sinusoid(spec: LayerSpec) -> None:
+    if spec.lam is None or spec.lam <= 0:
+        raise ValueError("sinusoid requires lam > 0")
+    _same_dim(spec)
+
+
+def _check_conv(spec: LayerSpec) -> None:
+    # Arithmetic only: a corrupt checkpoint can ask for in_dim of 2**31 or more,
+    # and conv_geometry would build index lists of that length.
+    if spec.k is None or spec.s is None:
+        raise ValueError("quantum_conv requires kernel side k and stepsize s")
+    if spec.s < 1:
+        raise ValueError(f"stepsize must be >= 1, got {spec.s}")
+    if not 1 <= spec.k <= spec.in_dim:
+        raise ValueError(f"kernel side {spec.k} must lie in 1..{spec.in_dim}")
+    if spec.out_dim != spec.in_dim:
+        raise ValueError("quantum_conv maps D to D")
+
+
+def _check_pool(spec: LayerSpec) -> None:
+    if spec.w is None or spec.p is None:
+        raise ValueError("split_max_pool requires window w and stride p")
+    if spec.w < 1 or spec.p < 1:
+        raise ValueError("pooling window and stride must be >= 1")
+    if spec.w > spec.in_dim:
+        raise ValueError(f"pooling window {spec.w} exceeds input length {spec.in_dim}")
+    if spec.out_dim != pooled_len(spec.in_dim, spec.w, spec.p):
+        raise ValueError("split_max_pool out_dim inconsistent with (w, p)")
+
+
+class Param(NamedTuple):
+    """The one trainable complex array of a kind: its name, and its shape and
+    the bound of its uniform init as functions of the spec."""
+
+    name: str
+    shape: Callable[[LayerSpec], tuple[int, ...]]
+    bound: Callable[[LayerSpec], float]
+
+
+class Kind(NamedTuple):
+    """What one layer kind does.
+
+    check(spec) raises ValueError for a spec the kind rejects.
+    forward(spec, params, x) returns the output and the backward cache.
+    backward(grad_out, cache) returns the input gradient of a kind without
+    a parameter; a kind with one takes need_input_grad as a third argument
+    and returns (input gradient or None, parameter gradient).
+    branches(cache) identifies the non-smooth choices of one forward, which
+    grad_check compares on the two sides of a finite difference.
+    """
+
+    check: Callable[[LayerSpec], None]
+    forward: Callable
+    backward: Callable
+    param: Param | None = None
+    branches: Callable[[tuple], object] = lambda cache: None
+
+
+# forward, backward and branches look their functions up when they run, so
+# a test or a tracer that replaces a module attribute reaches every layer.
+# The order is the checkpoint's kind id: add kinds at the end.
+KINDS = {
+    "complex_linear": Kind(
+        lambda spec: None,
+        lambda spec, params, x: complex_linear_forward(x, params["M"]),
+        lambda g, cache, need: complex_linear_backward(g, cache, need_input_grad=need),
+        Param("M", lambda spec: (spec.in_dim, spec.out_dim),
+              lambda spec: 1.0 / np.sqrt(spec.in_dim)),
+    ),
+    "sinusoid": Kind(
+        _check_sinusoid,
+        lambda spec, params, x: sinusoid_forward(x, spec.lam),
+        lambda g, cache: sinusoid_backward(g, cache),
+    ),
+    "mod_softplus": Kind(
+        _same_dim,
+        lambda spec, params, x: mod_softplus_forward(x),
+        lambda g, cache: mod_softplus_backward(g, cache),
+        branches=lambda cache: cache[-1].tobytes(),  # which entries are zero
+    ),
+    "mod_squared": Kind(
+        _same_dim,
+        lambda spec, params, x: mod_squared_forward(x),
+        lambda g, cache: mod_squared_backward(g, cache),
+    ),
+    "log_softmax": Kind(
+        _same_dim,
+        lambda spec, params, x: log_softmax_forward(x),
+        lambda g, cache: log_softmax_backward(g, cache),
+    ),
+    "quantum_conv": Kind(
+        _check_conv,
+        lambda spec, params, x: conv_forward(
+            x, build_conv_plan(params["K"], spec.in_dim, spec.k, spec.s)
+        ),
+        lambda g, cache, need: conv_backward(g, cache, need_input_grad=need),
+        Param("K", lambda spec: (spec.k, spec.k), lambda spec: 1.0 / spec.k),
+    ),
+    "split_max_pool": Kind(
+        _check_pool,
+        lambda spec, params, x: split_max_pool_forward(x, spec.w, spec.p),
+        lambda g, cache: split_max_pool_backward(g, cache),
+        branches=lambda cache: tuple(src.tobytes() for src in pool_sources(cache)),
+    ),
+}
+
+LAYER_KINDS = tuple(KINDS)
+
+
+def param_shapes(spec: LayerSpec) -> dict[str, tuple[int, ...]]:
+    param = KINDS[spec.kind].param
+    return {} if param is None else {param.name: param.shape(spec)}
+
+
+def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform init scaled by fan-in; re and im drawn independently."""
+    param = KINDS[spec.kind].param
+    if param is None:
+        return {}
+    b, shape = param.bound(spec), param.shape(spec)
+    return {param.name: rng.uniform(-b, b, shape) + 1j * rng.uniform(-b, b, shape)}
 
 
 def layer_forward(
     spec: LayerSpec, params: dict[str, np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, TapeNode]:
     """Dispatch one forward pass; returns the output and its tape node."""
-    kind = spec.kind
-    if kind == "complex_linear":
-        _require_batch(x, spec.in_dim, kind)
-        y, cache = complex_linear_forward(x, params["M"])
-    elif kind == "sinusoid":
-        _require_batch(x, spec.in_dim, kind)
-        y, cache = sinusoid_forward(x, spec.lam)
-    elif kind == "mod_softplus":
-        _require_batch(x, spec.in_dim, kind)
-        y, cache = mod_softplus_forward(x)
-    elif kind == "mod_squared":
-        _require_batch(x, spec.in_dim, kind)
-        y, cache = mod_squared_forward(x)
-    elif kind == "log_softmax":
-        _require_batch(x, spec.in_dim, kind)
-        y, cache = log_softmax_forward(x)
-    elif kind == "quantum_conv":
-        plan = build_conv_plan(params["K"], spec.in_dim, spec.k, spec.s)
-        y, cache = conv_forward(x, plan)
-    elif kind == "split_max_pool":
-        y, cache = split_max_pool_forward(x, spec.w, spec.p)
-    else:  # unreachable once LayerSpec validates, kept for raw dispatch use
-        raise ValueError(f"unknown layer kind {kind!r}")
+    _require_batch(x, spec.in_dim, spec.kind)
+    y, cache = KINDS[spec.kind].forward(spec, params, x)
     return y, TapeNode(spec=spec, cache=cache)
 
 
@@ -594,27 +664,10 @@ def layer_backward(
     if node.spec != spec:
         raise ValueError("tape node does not belong to this layer")
     node.consumed = True
-    kind = spec.kind
-    if kind == "complex_linear":
-        grad_x, grad_m = complex_linear_backward(
-            grad_out, node.cache, need_input_grad=need_input_grad
-        )
-        return grad_x, {"M": grad_m}
-    if kind == "quantum_conv":
-        grad_x, grad_k = conv_backward(
-            grad_out, node.cache, need_input_grad=need_input_grad
-        )
-        return grad_x, {"K": grad_k}
-    if not need_input_grad:  # the other kinds have no parameters
+    kind = KINDS[spec.kind]
+    if kind.param is not None:
+        grad_x, grad_p = kind.backward(grad_out, node.cache, need_input_grad)
+        return grad_x, {kind.param.name: grad_p}
+    if not need_input_grad:
         return None, {}
-    if kind == "sinusoid":
-        return sinusoid_backward(grad_out, node.cache), {}
-    if kind == "mod_softplus":
-        return mod_softplus_backward(grad_out, node.cache), {}
-    if kind == "mod_squared":
-        return mod_squared_backward(grad_out, node.cache), {}
-    if kind == "log_softmax":
-        return log_softmax_backward(grad_out, node.cache), {}
-    if kind == "split_max_pool":
-        return split_max_pool_backward(grad_out, node.cache), {}
-    raise ValueError(f"unknown layer kind {kind!r}")
+    return kind.backward(grad_out, node.cache), {}

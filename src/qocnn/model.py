@@ -1,4 +1,4 @@
-"""Model graphs: layer stacks, parameter initialization, forward/backward."""
+"""Model graphs: layer stacks and their forward and backward sweeps."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers
-from .layers import LayerSpec, NonFiniteError, TapeNode
+from .layers import LayerSpec, NonFiniteError, TapeNode, init_layer_params, param_shapes
 
 ARCHITECTURES = ("onn", "qonn", "qocnn")
 
@@ -70,29 +70,6 @@ class ModelGraph:
             seed=self.seed,
             meta=dict(self.meta),
         )
-
-
-def param_shapes(spec: LayerSpec) -> dict[str, tuple[int, ...]]:
-    if spec.kind == "complex_linear":
-        return {"M": (spec.in_dim, spec.out_dim)}
-    if spec.kind == "quantum_conv":
-        return {"K": (spec.k, spec.k)}
-    return {}
-
-
-def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform init scaled by fan-in; re and im drawn independently."""
-    if spec.kind == "complex_linear":
-        bound = 1.0 / np.sqrt(spec.in_dim)
-        shape = (spec.in_dim, spec.out_dim)
-        m = rng.uniform(-bound, bound, shape) + 1j * rng.uniform(-bound, bound, shape)
-        return {"M": m}
-    if spec.kind == "quantum_conv":
-        bound = 1.0 / spec.k
-        shape = (spec.k, spec.k)
-        k = rng.uniform(-bound, bound, shape) + 1j * rng.uniform(-bound, bound, shape)
-        return {"K": k}
-    return {}
 
 
 def architecture_specs(

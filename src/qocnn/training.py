@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data, fileio, model as model_mod
 from .data import Batch, Dataset
-from .layers import LAYER_KINDS, LayerSpec, NonFiniteError, TapeNode, pool_sources
+from .layers import KINDS, LAYER_KINDS, LayerSpec, NonFiniteError, TapeNode, param_shapes
 from .model import ARCHITECTURES, ModelGraph, model_backward, model_forward
 
 LOSS_DIVERGENCE_CAP = 10.0 * math.log(10.0)
@@ -32,16 +32,6 @@ class DivergenceError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # loss
-
-
-def nll_loss(log_probs: np.ndarray, label: int) -> float:
-    """Negative log likelihood of one label under one log-probability row."""
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    if not 0 <= label < log_probs.shape[-1]:
-        raise ValueError(
-            f"label {label} out of range 0..{log_probs.shape[-1] - 1}"
-        )
-    return float(-log_probs[label])
 
 
 def nll_mean(log_probs: np.ndarray, labels: np.ndarray) -> float:
@@ -519,7 +509,7 @@ def load_checkpoint(path) -> ModelGraph:
         )
     params = []
     for spec in specs:
-        shapes = model_mod.param_shapes(spec)
+        shapes = param_shapes(spec)
         p = {}
         for name in sorted(shapes):
             shape = shapes[name]
@@ -603,14 +593,7 @@ class GradCheckReport:
 
 def _branch_signature(nodes: list[TapeNode]) -> tuple:
     """Identity of every non-smooth choice made during a forward pass."""
-    sig = []
-    for node in nodes:
-        if node.spec.kind == "split_max_pool":
-            sig.append(tuple(src.tobytes() for src in pool_sources(node.cache)))
-        elif node.spec.kind == "mod_softplus":
-            *_, safe = node.cache
-            sig.append(safe.tobytes())
-    return tuple(sig)
+    return tuple(KINDS[node.spec.kind].branches(node.cache) for node in nodes)
 
 
 def grad_check(

@@ -257,6 +257,27 @@ class TestTrain:
         assert "batch_size = 32" in log
         assert "seed = 7" in log  # flag beats config
 
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("arch = onnx", "config key 'arch': 'onnx' is not one of onn, qonn, qocnn"),
+            ("optimizer = adamw", "config key 'optimizer': 'adamw' is not one of sgd, adam"),
+        ],
+        ids=["arch", "optimizer"],
+    )
+    def test_config_value_outside_choices_exits_2(
+        self, line, error, synth_idx_files, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(
+            train_args(synth_idx_files, tmp_path / "out", extra=["--config", str(cfg)]),
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {error}\n"
+        assert out == ""  # refused before any config line is printed
+
     def test_unknown_config_key_exits_2(self, synth_idx_files, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("momentum = 0.9\n")
@@ -330,6 +351,17 @@ class TestEvaluate:
         )
         assert code == 4
         assert "qonn" in err and "onn" in err
+
+    def test_config_arch_outside_choices_exits_2(
+        self, synth_idx_files, trained_run, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("arch = onnx\n")
+        argv = evaluate_args(synth_idx_files, trained_run / "model.ckpt", tmp_path / "out")
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == "error: config key 'arch': 'onnx' is not one of onn, qonn, qocnn\n"
+        assert out == ""
 
     def test_corrupt_checkpoint_exits_4(self, synth_idx_files, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

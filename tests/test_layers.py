@@ -1,6 +1,7 @@
 """Layer forward semantics against scalar oracles; backward vs finite differences."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -546,6 +547,40 @@ class TestLayerSpecValidation:
     def test_pool_out_dim_checked(self):
         with pytest.raises(ValueError, match="out_dim"):
             LayerSpec("split_max_pool", 8, 5, w=2, p=2)
+
+    def test_checks_allocate_nothing_that_grows_with_the_dimensions(self):
+        """A corrupt checkpoint can ask for in_dim near 2**32: the conv and
+        pool checks must stay arithmetic, valid spec or not."""
+        n = 2**31 - 1
+        builds = [
+            lambda: layers.conv_spec(n, 4, 2),
+            lambda: LayerSpec("quantum_conv", n, n, k=n + 1, s=2),
+            lambda: layers.pool_spec(n, 2, 2),
+            lambda: LayerSpec("split_max_pool", n, n, w=2, p=2),
+        ]
+        for build in builds:
+            tracemalloc.start()
+            try:
+                build()
+            except ValueError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 64 * 1024
+
+
+class TestKindTable:
+    def test_kind_ids_are_pinned(self):
+        """A kind's index is its id in every saved checkpoint."""
+        assert layers.LAYER_KINDS == (
+            "complex_linear",
+            "sinusoid",
+            "mod_softplus",
+            "mod_squared",
+            "log_softmax",
+            "quantum_conv",
+            "split_max_pool",
+        )
 
 
 class TestDispatch:

@@ -33,7 +33,6 @@ from qocnn.training import (
     forward_loss,
     grad_check,
     load_checkpoint,
-    nll_loss,
     nll_mean,
     save_checkpoint,
     train,
@@ -41,36 +40,38 @@ from qocnn.training import (
 
 
 class TestNllLoss:
+    """nll_mean on one-row batches: the negative log likelihood of one label."""
+
     def test_uniform_is_ln_ten(self):
-        lp = np.full(10, math.log(0.1))
-        assert nll_loss(lp, 4) == pytest.approx(math.log(10), abs=1e-12)
-        assert nll_loss(lp, 4) == pytest.approx(2.302585, abs=1e-6)
+        lp = np.full((1, 10), math.log(0.1))
+        assert nll_mean(lp, [4]) == pytest.approx(math.log(10), abs=1e-12)
+        assert nll_mean(lp, [4]) == pytest.approx(2.302585, abs=1e-6)
 
     def test_certain_prediction_is_zero(self):
-        lp = np.full(10, -50.0)
-        lp[7] = 0.0
-        assert nll_loss(lp, 7) == 0.0
+        lp = np.full((1, 10), -50.0)
+        lp[0, 7] = 0.0
+        assert nll_mean(lp, [7]) == 0.0
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=10)
-        lp = layers.log_softmax(v[None, :])[0]
+        lp = layers.log_softmax(v[None, :])
         for label in range(10):
-            assert nll_loss(lp, label) == pytest.approx(-lp[label], abs=1e-15)
-            assert nll_loss(lp, label) >= 0
+            assert nll_mean(lp, [label]) == pytest.approx(-lp[0, label], abs=1e-15)
+            assert nll_mean(lp, [label]) >= 0
 
     def test_out_of_range_label(self):
-        lp = np.full(10, math.log(0.1))
+        lp = np.full((1, 10), math.log(0.1))
         with pytest.raises(ValueError, match="label"):
-            nll_loss(lp, 10)
+            nll_mean(lp, [10])
         with pytest.raises(ValueError, match="label"):
-            nll_loss(lp, -1)
+            nll_mean(lp, [-1])
 
     def test_mean_over_batch(self):
         rng = np.random.default_rng(1)
         lp = layers.log_softmax(rng.normal(size=(4, 10)))
         labels = np.array([0, 3, 9, 3])
-        expected = np.mean([nll_loss(lp[i], labels[i]) for i in range(4)])
+        expected = np.mean([nll_mean(lp[i : i + 1], labels[i : i + 1]) for i in range(4)])
         assert nll_mean(lp, labels) == pytest.approx(expected, abs=1e-15)
 
 
@@ -361,6 +362,34 @@ class TestHotPathMatchesOracles:
         for module, attr, oracle in HOT_PATH_ORACLES:
             monkeypatch.setattr(module, attr, oracle)
         assert run() == new
+
+    @pytest.mark.parametrize(
+        "module, attr",
+        [(module, attr) for module, attr, _ in HOT_PATH_ORACLES],
+        ids=[attr for _, attr, _ in HOT_PATH_ORACLES],
+    )
+    def test_each_oracle_patch_reaches_the_epoch(
+        self, module, attr, synth_datasets, monkeypatch
+    ):
+        """Patching the module attribute changes what the seeded epoch runs,
+        so the oracle comparison above tests the oracles."""
+
+        class Sentinel(Exception):
+            pass
+
+        def raise_sentinel(*args, **kwargs):
+            raise Sentinel(attr)
+
+        train_ds, test_ds = synth_datasets
+        monkeypatch.setattr(module, attr, raise_sentinel)
+        raised = []
+        for arch in ("qocnn", "qonn", "onn"):
+            m = model_mod.new_model(arch, seed=4)
+            try:
+                training.train(m, train_ds, test_ds, TrainConfig(epochs=1, seed=9))
+            except Sentinel:
+                raised.append(arch)
+        assert raised
 
 
 class TestBackwardSkipsInputGradient:
