@@ -1,6 +1,6 @@
 """Classically simulated complex-valued optical/quantum-optical neural networks.
 
-Modules: `linalg` (complex matrices as paired real/imaginary arrays, SVD),
+Modules: `linalg` (SVD with amplification β),
 `data` (fold-encoded MNIST IDX files), `layers` (the seven layer kinds in one
 table, with hand-derived backward passes), `model` (layer stacks),
 `training` (loss, optimizers, checkpoints, gradient check), `metrics`,

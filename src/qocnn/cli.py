@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import data, fileio, layers, metrics, model as model_mod, resources, training
+from . import data, fileio, layers, linalg, metrics, model as model_mod, resources, training
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,6 +66,8 @@ class Option(NamedTuple):
     help: str | None = None
 
 
+TRAIN_DEFAULTS = training.TrainConfig()
+
 # The flag of key is --key with dashes, and the config key is key, except
 # for lam, whose flag and config key are "lambda".  Each command's --help
 # lists its flags in this order.
@@ -75,17 +77,17 @@ OPTIONS = {
     "train_labels": Option(str, {"train": None}),
     "test_images": Option(str, {"train": None, "evaluate": None}),
     "test_labels": Option(str, {"train": None, "evaluate": None}),
-    "epochs": Option(int, {"train": 10}),
-    "batch_size": Option(int, {"train": 64}),
-    "lr": Option(float, {"train": 1e-3}),
-    "optimizer": Option(str, {"train": "adam"}, ("sgd", "adam")),
-    "seed": Option(int, {"train": 0, "gradcheck": 0}),
-    "lam": Option(float, {"train": 0.2}),
+    "epochs": Option(int, {"train": TRAIN_DEFAULTS.epochs}),
+    "batch_size": Option(int, {"train": TRAIN_DEFAULTS.batch_size}),
+    "lr": Option(float, {"train": TRAIN_DEFAULTS.learning_rate}),
+    "optimizer": Option(str, {"train": TRAIN_DEFAULTS.optimizer}, tuple(training.OPTIMIZERS)),
+    "seed": Option(int, {"train": TRAIN_DEFAULTS.seed, "gradcheck": 0}),
+    "lam": Option(float, {"train": model_mod.DEFAULT_LAM}),
     "conv_k": Option(int, {"train": 4}),
     "conv_s": Option(int, {"train": 2}),
     "pool_w": Option(int, {"train": 2}),
     "pool_p": Option(int, {"train": 2}),
-    "patience": Option(int, {"train": 3}),
+    "patience": Option(int, {"train": TRAIN_DEFAULTS.patience}),
     "eps": Option(float, {"gradcheck": 1e-5}),
     "tol": Option(float, {"gradcheck": 1e-4}),
     "checkpoint": Option(str, {"train": None, "evaluate": None, "export": None}),
@@ -421,12 +423,24 @@ def cmd_export(eff: dict) -> int:
     except training.CheckpointError as exc:
         _err(str(exc))
         return EXIT_CHECKPOINT
+    records = []
+    for i, (spec, params) in enumerate(zip(model.specs, model.params)):
+        record = dataclasses.asdict(spec)  # LayerSpec fields
+        if spec.kind == "complex_linear":
+            try:
+                m = linalg.ComplexMatrix.from_complex(params["M"])
+                f = linalg.amplification_normalize(linalg.svd(m))
+            except ValueError as exc:  # inf or NaN in M
+                _err(f"checkpoint layer {i} (complex_linear): {exc}")
+                return EXIT_CHECKPOINT
+            record.update(beta=f.beta, sigma_min_over_max=float(f.sigma.min()))
+        records.append(record)
     payload = {
         "arch": model.arch,
         "seed": model.seed,
         "lam": model.meta.get("lam"),
         "num_real_params": model.num_params(),
-        "layers": [dataclasses.asdict(s) for s in model.specs],  # LayerSpec fields
+        "layers": records,
     }
     out = Path(eff["out"]) if eff["out"] else Path(eff["out_dir"]) / "model.json"
     fileio.atomic_write_text(out, json.dumps(payload, indent=2) + "\n")

@@ -10,11 +10,15 @@ complex matrix product F = A @ B reads
     G_A = G_F @ B^H        G_B = A^H @ G_F
 
 and the row-vector map y = x @ M gives G_x = G_y @ M^H, G_M = x^H @ G_y.
+
+The forward functions trust their arguments: LayerSpec checks each spec,
+ModelGraph the parameter shapes, and layer_forward the input width.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -61,7 +65,7 @@ def linear_spec(in_dim: int, out_dim: int) -> LayerSpec:
     return LayerSpec("complex_linear", in_dim, out_dim)
 
 
-def sinusoid_spec(n: int, lam: float = 0.2) -> LayerSpec:
+def sinusoid_spec(n: int, lam: float) -> LayerSpec:
     return LayerSpec("sinusoid", n, n, lam=lam)
 
 
@@ -115,11 +119,6 @@ def _require_batch(x: np.ndarray, dim: int, kind: str) -> None:
 
 def complex_linear_forward(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, tuple]:
     """y = x @ M on complex rows; returns the output and the backward cache."""
-    if x.ndim != 2 or m.ndim != 2 or x.shape[1] != m.shape[0]:
-        raise ValueError(
-            f"cannot multiply input of shape {x.shape} by matrix of shape {m.shape}: "
-            f"input width {x.shape[1] if x.ndim == 2 else '?'} != matrix rows {m.shape[0]}"
-        )
     return x @ m, (x, m)
 
 
@@ -142,8 +141,6 @@ def sinusoid_forward(x: np.ndarray, lam: float) -> tuple[np.ndarray, tuple]:
 
     Acts on the interleaved float view; lam*t and its sine stay on the tape.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
     xf = _float_view(x)
     t = lam * xf
     sin_t = np.sin(t)
@@ -378,7 +375,6 @@ def conv_forward(x: np.ndarray, plan: ConvPlan) -> tuple[np.ndarray, tuple]:
     """y = x @ M_1 @ ... @ M_n, each M_i applied as one batched block product
     in real arithmetic: the (b * k_tot, k) block inputs, seen as interleaved
     (b * k_tot, 2k) floats, times the real embedding of the kernel."""
-    _require_batch(x, plan.d, "quantum_conv")
     e = real_embedding(plan.kernel)
     blocks = []
     y = x
@@ -460,13 +456,6 @@ def split_max_pool_forward(
     the tape and the backward finds the argmax (see pool_sources).  A window
     whose maximum is a zero of either sign may output either sign.
     """
-    if w < 1 or p < 1:
-        raise ValueError("pooling window and stride must be >= 1")
-    if x.ndim != 2 or w > x.shape[1]:
-        raise ValueError(
-            f"pooling window {w} exceeds input length "
-            f"{x.shape[1] if x.ndim == 2 else '?'}"
-        )
     xf = _float_view(x)
     m = pooled_len(x.shape[1], w, p)
     span = p * (m - 1) + 1
@@ -514,8 +503,8 @@ def _same_dim(spec: LayerSpec) -> None:
 
 
 def _check_sinusoid(spec: LayerSpec) -> None:
-    if spec.lam is None or spec.lam <= 0:
-        raise ValueError("sinusoid requires lam > 0")
+    if spec.lam is None or not 0 < spec.lam < math.inf:
+        raise ValueError("sinusoid requires a finite lam > 0")
     _same_dim(spec)
 
 

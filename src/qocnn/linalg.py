@@ -1,14 +1,8 @@
-"""Complex vectors and matrices stored as paired real/imaginary arrays.
+"""The SVD of a complex matrix with its amplification beta pulled out.
 
-A complex matrix M = M_R + i*M_C acts on row vectors either through plain
-complex arithmetic or through its real block embedding
-
-    embed(M) = [[ M_R, M_C],
-                [-M_C, M_R]]
-
-applied to the concatenated form [x_re, x_im].  Both routes are exposed and
-agree to machine precision; the embedding is a ring homomorphism, so
-embed(A) @ embed(B) == embed(A @ B).
+An optical linear layer realises M as beta * V @ diag(sigma) @ U: two
+unitary meshes around a diagonal of attenuations with max(sigma) <= 1.
+beta > 1 means the layer needs gain.
 """
 
 from __future__ import annotations
@@ -16,57 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _to_float2d(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a two-dimensional array")
-    return arr
-
-
-@dataclass
-class ComplexVector:
-    """Length-N complex vector as separate real and imaginary parts."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.re = np.asarray(self.re, dtype=np.float64)
-        self.im = np.asarray(self.im, dtype=np.float64)
-        if self.re.ndim != 1 or self.im.ndim != 1:
-            raise ValueError("re and im must be one-dimensional")
-        if self.re.shape != self.im.shape:
-            raise ValueError(
-                f"re has length {self.re.shape[0]} but im has length {self.im.shape[0]}"
-            )
-        if self.re.shape[0] < 1:
-            raise ValueError("vector must have at least one entry")
-
-    @property
-    def n(self) -> int:
-        return self.re.shape[0]
-
-    def concat(self) -> np.ndarray:
-        """Concatenated real form [re, im] of length 2N."""
-        return np.concatenate([self.re, self.im])
-
-    @classmethod
-    def from_concat(cls, arr) -> "ComplexVector":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] % 2 != 0:
-            raise ValueError("concatenated form must be one-dimensional with even length")
-        half = arr.shape[0] // 2
-        return cls(arr[:half].copy(), arr[half:].copy())
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, z) -> "ComplexVector":
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(z.real.copy(), z.imag.copy())
 
 
 @dataclass
@@ -77,16 +20,13 @@ class ComplexMatrix:
     im: np.ndarray
 
     def __post_init__(self) -> None:
-        self.re = _to_float2d(self.re)
-        self.im = _to_float2d(self.im)
-        if self.re.shape != self.im.shape:
+        self.re = np.asarray(self.re, dtype=np.float64)
+        self.im = np.asarray(self.im, dtype=np.float64)
+        if self.re.ndim != 2 or self.re.shape != self.im.shape:
             raise ValueError(
-                f"re has shape {self.re.shape} but im has shape {self.im.shape}"
+                f"re and im must be two-dimensional of one shape, got "
+                f"{self.re.shape} and {self.im.shape}"
             )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.re.shape
 
     def to_complex(self) -> np.ndarray:
         return self.re + 1j * self.im
@@ -106,38 +46,6 @@ class SvdFactors:
     U: ComplexMatrix
     beta: float = 1.0
 
-    def __post_init__(self) -> None:
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.sigma.ndim != 1:
-            raise ValueError("sigma must be one-dimensional")
-
-
-def embed_block(m: ComplexMatrix) -> np.ndarray:
-    """Real 2N1 x 2N2 block embedding [[re, im], [-im, re]]."""
-    return np.block([[m.re, m.im], [-m.im, m.re]])
-
-
-def apply(m: ComplexMatrix, x: ComplexVector) -> ComplexVector:
-    """Row-vector product x @ M using complex arithmetic."""
-    n1, n2 = m.shape
-    if x.n != n1:
-        raise ValueError(
-            f"cannot apply {n1}x{n2} matrix to length-{x.n} vector "
-            f"(matrix input dimension {n1} != vector length {x.n})"
-        )
-    return ComplexVector.from_complex(x.to_complex() @ m.to_complex())
-
-
-def apply_embedded(m: ComplexMatrix, x: ComplexVector) -> ComplexVector:
-    """Same product as :func:`apply`, computed through the real embedding."""
-    n1, n2 = m.shape
-    if x.n != n1:
-        raise ValueError(
-            f"cannot apply {n1}x{n2} matrix to length-{x.n} vector "
-            f"(matrix input dimension {n1} != vector length {x.n})"
-        )
-    return ComplexVector.from_concat(x.concat() @ embed_block(m))
-
 
 def svd(m: ComplexMatrix) -> SvdFactors:
     """Full SVD with unitary factors; singular values sorted nonincreasing.
@@ -152,15 +60,12 @@ def svd(m: ComplexMatrix) -> SvdFactors:
         V=ComplexMatrix.from_complex(v),
         sigma=sigma,
         U=ComplexMatrix.from_complex(u),
-        beta=1.0,
     )
 
 
 def reconstruct(f: SvdFactors) -> ComplexMatrix:
     """Product beta * V @ diag(sigma) @ U with a rectangular diagonal."""
-    n1 = f.V.shape[0]
-    n2 = f.U.shape[0]
-    diag = np.zeros((n1, n2))
+    diag = np.zeros((f.V.re.shape[0], f.U.re.shape[0]))
     np.fill_diagonal(diag, f.sigma)
     return ComplexMatrix.from_complex(
         f.beta * (f.V.to_complex() @ diag @ f.U.to_complex())
@@ -176,8 +81,6 @@ def amplification_normalize(f: SvdFactors) -> SvdFactors:
     """
     if f.beta != 1.0:
         raise ValueError("factors are already normalized (beta != 1)")
-    if f.sigma.size == 0:
-        raise ValueError("sigma must be nonempty")
     peak = float(f.sigma.max())
     beta = peak if peak > 0.0 else 1.0
     return SvdFactors(V=f.V, sigma=f.sigma / beta, U=f.U, beta=beta)

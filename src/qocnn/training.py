@@ -144,12 +144,7 @@ class AdamOptimizer:
                 arr.view(np.float64).ravel()[...] -= update
 
 
-def make_optimizer(name: str, learning_rate: float):
-    if name == "sgd":
-        return SgdOptimizer(learning_rate)
-    if name == "adam":
-        return AdamOptimizer(learning_rate)
-    raise ValueError(f"unknown optimizer {name!r}, expected sgd or adam")
+OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +163,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
@@ -330,7 +325,7 @@ def train(
         raise ValueError("training dataset is empty")
     if len(test_ds) == 0:
         raise ValueError("test dataset is empty")
-    opt = make_optimizer(config.optimizer, config.learning_rate)
+    opt = OPTIMIZERS[config.optimizer](config.learning_rate)
     history = TrainHistory()
     best_test = math.inf
     stale = 0

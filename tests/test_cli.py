@@ -76,7 +76,7 @@ def kind_flipped_checkpoint(tmp_path):
     return path
 
 
-KIND_FLIP_ERROR = "error: checkpoint layer 0 (sinusoid) is invalid: sinusoid requires lam > 0\n"
+KIND_FLIP_ERROR = "error: checkpoint layer 0 (sinusoid) is invalid: sinusoid requires a finite lam > 0\n"
 
 
 class TestEstimate:
@@ -277,6 +277,33 @@ class TestTrain:
         assert code == 2
         assert err == f"error: {error}\n"
         assert out == ""  # refused before any config line is printed
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key,value,arch,names",
+        [
+            ("lr", "nan", "qonn", "learning_rate"),
+            ("lr", "inf", "qocnn", "learning_rate"),
+            ("lambda", "nan", "qocnn", "lam"),
+            ("lambda", "inf", "qonn", "lam"),
+        ],
+    )
+    def test_non_finite_rate_exits_2(
+        self, source, key, value, arch, names, synth_idx_files, tmp_path, capsys
+    ):
+        if source == "flag":
+            extra = [f"--{key}", value]
+        else:
+            cfg = tmp_path / "rate.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            extra = ["--config", str(cfg)]
+        code, _, err = run(
+            train_args(synth_idx_files, tmp_path / "out", extra=["--arch", arch, *extra]),
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+        assert not (tmp_path / "out" / "run.log").exists()
 
     def test_unknown_config_key_exits_2(self, synth_idx_files, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -500,6 +527,38 @@ class TestExport:
             "mod_squared", "log_softmax",
         ]
         assert payload["num_real_params"] == 2 * (392 * 128 + 128 * 10)
+
+    def test_complex_linear_entries_carry_beta(self, trained_run, tmp_path, capsys):
+        out_path = tmp_path / "model.json"
+        checkpoint = trained_run / "model.ckpt"
+        code, _, _ = run(
+            ["export", "--checkpoint", str(checkpoint), "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        records = json.loads(out_path.read_text())["layers"]
+        model = training.load_checkpoint(checkpoint)
+        for record, params in zip(records, model.params, strict=True):
+            if record["kind"] != "complex_linear":
+                assert "beta" not in record and "sigma_min_over_max" not in record
+                continue
+            norm = np.linalg.norm(params["M"], 2)
+            assert abs(record["beta"] - norm) <= 1e-12 * norm
+            assert 0 < record["sigma_min_over_max"] <= 1
+
+    def test_non_finite_matrix_exits_4(self, tmp_path, capsys):
+        m = model_mod.new_model("qonn", seed=5)
+        m.params[2]["M"][0, 0] = np.nan
+        training.save_checkpoint(m, tmp_path / "nan.ckpt")
+        out_path = tmp_path / "model.json"
+        code, out, err = run(
+            ["export", "--checkpoint", str(tmp_path / "nan.ckpt"), "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: checkpoint layer 2 (complex_linear): matrix entries must be finite\n"
+        )
+        assert not out_path.exists()
 
     def test_relabelled_checkpoint_exits_4(self, trained_run, tmp_path, capsys):
         bad = relabelled_checkpoint(trained_run, tmp_path, "onn")

@@ -218,9 +218,11 @@ class TestConvForward:
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(6)
-        plan = layers.build_conv_plan(random_complex(rng, (2, 2)), 8, 2, 2)
+        kernel = random_complex(rng, (2, 2))
         with pytest.raises(ValueError, match="expects input"):
-            layers.conv_forward(random_complex(rng, (1, 9)), plan)
+            layers.layer_forward(
+                layers.conv_spec(8, 2, 2), {"K": kernel}, random_complex(rng, (1, 9))
+            )
 
 
 class TestConvBackward:

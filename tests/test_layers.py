@@ -77,8 +77,10 @@ class TestComplexLinear:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="3"):
-            layers.complex_linear_forward(
-                random_complex(rng, (2, 3)), random_complex(rng, (4, 5))
+            layer_forward(
+                layers.linear_spec(4, 5),
+                {"M": random_complex(rng, (4, 5))},
+                random_complex(rng, (2, 3)),
             )
 
     def test_zero_grad_out(self):
@@ -138,10 +140,9 @@ class TestSinusoid:
         np.testing.assert_allclose(y.real, re_only.real)
 
     def test_nonpositive_lam_rejected(self):
-        with pytest.raises(ValueError):
-            layers.sinusoid_forward(np.zeros((1, 1), dtype=np.complex128), 0.0)
-        with pytest.raises(ValueError):
-            LayerSpec("sinusoid", 3, 3, lam=0.0)
+        for lam in (0.0, -0.2, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LayerSpec("sinusoid", 3, 3, lam=lam)
 
     def test_derivative_at_zero_is_zero(self):
         x = np.zeros((1, 2), dtype=np.complex128)
@@ -413,7 +414,7 @@ class TestSplitMaxPool:
 
     def test_window_larger_than_input_rejected(self):
         with pytest.raises(ValueError):
-            layers.split_max_pool_forward(np.zeros((1, 3), dtype=np.complex128), 4, 1)
+            LayerSpec("split_max_pool", 3, 1, w=4, p=1)
 
     def test_backward_routes_each_output_to_one_slot(self):
         rng = np.random.default_rng(15)

@@ -1,118 +1,75 @@
-"""Complex block embedding, application routes, and SVD reconstruction."""
+"""The SVD factorization with amplification beta, and the real embedding the
+conv layer multiplies by."""
 
 import numpy as np
 import pytest
 
 from conftest import random_complex
-from qocnn import linalg
-from qocnn.linalg import ComplexMatrix, ComplexVector
+from qocnn import layers, linalg
+from qocnn.linalg import ComplexMatrix
 
 
 def rand_cmatrix(rng, n1, n2) -> ComplexMatrix:
     return ComplexMatrix.from_complex(random_complex(rng, (n1, n2)))
 
 
+def apply_embedded(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Complex rows x times kernel, through the float view and real_embedding."""
+    return (x.view(np.float64) @ layers.real_embedding(kernel)).view(np.complex128)
+
+
 class TestVectorMatrixTypes:
-    def test_concat_round_trip(self):
-        v = ComplexVector(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        got = ComplexVector.from_concat(v.concat())
-        np.testing.assert_array_equal(got.re, v.re)
-        np.testing.assert_array_equal(got.im, v.im)
-
-    def test_concat_layout_is_re_then_im(self):
-        v = ComplexVector(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(v.concat(), [1.0, 2.0, 3.0, 4.0])
-
     def test_complex_round_trip(self):
         rng = np.random.default_rng(0)
-        z = random_complex(rng, 5)
-        v = ComplexVector.from_complex(z)
-        np.testing.assert_array_equal(v.to_complex(), z)
-        assert v.n == 5
+        z = random_complex(rng, (5, 3))
+        m = ComplexMatrix.from_complex(z)
+        np.testing.assert_array_equal(m.to_complex(), z)
 
     def test_mismatched_halves_rejected(self):
         with pytest.raises(ValueError):
-            ComplexVector(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
             ComplexMatrix(np.zeros((2, 3)), np.zeros((3, 2)))
-
-    def test_odd_concat_rejected(self):
         with pytest.raises(ValueError):
-            ComplexVector.from_concat(np.zeros(5))
+            ComplexMatrix(np.zeros(3), np.zeros(3))
 
 
 class TestEmbedding:
     def test_block_layout(self):
-        m = ComplexMatrix(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
+        kernel = np.array([[1.0 + 3.0j, 2.0 + 4.0j], [5.0 + 7.0j, 6.0 + 8.0j]])
         expected = np.array(
             [
-                [1.0, 2.0, 3.0, 4.0],
-                [-3.0, -4.0, 1.0, 2.0],
+                [1.0, 3.0, 2.0, 4.0],
+                [-3.0, 1.0, -4.0, 2.0],
+                [5.0, 7.0, 6.0, 8.0],
+                [-7.0, 5.0, -8.0, 6.0],
             ]
         )
-        np.testing.assert_array_equal(linalg.embed_block(m), expected)
-
-    def test_embedding_is_multiplicative(self):
-        # embed(A) @ embed(B) == embed(A @ B): the core homomorphism
-        rng = np.random.default_rng(1)
-        for n1, n2, n3 in [(1, 1, 1), (2, 3, 4), (5, 2, 5)]:
-            a = rand_cmatrix(rng, n1, n2)
-            b = rand_cmatrix(rng, n2, n3)
-            ab = ComplexMatrix.from_complex(a.to_complex() @ b.to_complex())
-            np.testing.assert_allclose(
-                linalg.embed_block(a) @ linalg.embed_block(b),
-                linalg.embed_block(ab),
-                atol=1e-12,
-            )
+        np.testing.assert_array_equal(layers.real_embedding(kernel), expected)
 
     def test_identity_matrix_application(self):
         rng = np.random.default_rng(2)
-        x = ComplexVector.from_complex(random_complex(rng, 4))
-        m = ComplexMatrix.from_complex(np.eye(4))
-        y = linalg.apply(m, x)
-        np.testing.assert_allclose(y.to_complex(), x.to_complex())
+        x = random_complex(rng, (1, 4))
+        np.testing.assert_allclose(apply_embedded(np.eye(4, dtype=np.complex128), x), x)
 
     def test_basis_vector_extracts_row(self):
         rng = np.random.default_rng(3)
-        m = rand_cmatrix(rng, 4, 3)
+        m = random_complex(rng, (4, 4))
         for j in range(4):
-            e = np.zeros(4, dtype=np.complex128)
-            e[j] = 1.0
-            y = linalg.apply(m, ComplexVector.from_complex(e))
-            np.testing.assert_allclose(y.to_complex(), m.to_complex()[j])
+            e = np.zeros((1, 4), dtype=np.complex128)
+            e[0, j] = 1.0
+            np.testing.assert_allclose(apply_embedded(m, e)[0], m[j])
 
     def test_apply_matches_scalar_oracle(self):
         # entrywise complex multiply-accumulate written out longhand
         rng = np.random.default_rng(4)
-        m = rand_cmatrix(rng, 3, 5)
-        x = ComplexVector.from_complex(random_complex(rng, 3))
-        expected = np.zeros(5, dtype=np.complex128)
-        for j in range(5):
+        m = random_complex(rng, (3, 3))
+        x = random_complex(rng, (1, 3))
+        expected = np.zeros(3, dtype=np.complex128)
+        for j in range(3):
             for i in range(3):
-                xr, xi = x.re[i], x.im[i]
-                mr, mi = m.re[i, j], m.im[i, j]
+                xr, xi = x[0, i].real, x[0, i].imag
+                mr, mi = m[i, j].real, m[i, j].imag
                 expected[j] += complex(xr * mr - xi * mi, xr * mi + xi * mr)
-        np.testing.assert_allclose(
-            linalg.apply(m, x).to_complex(), expected, atol=1e-12
-        )
-
-    def test_apply_embedded_equals_apply(self):
-        rng = np.random.default_rng(5)
-        for n1, n2 in [(1, 1), (2, 7), (6, 6), (8, 3)]:
-            m = rand_cmatrix(rng, n1, n2)
-            x = ComplexVector.from_complex(random_complex(rng, n1))
-            a = linalg.apply(m, x)
-            b = linalg.apply_embedded(m, x)
-            np.testing.assert_allclose(a.concat(), b.concat(), atol=1e-12)
-
-    def test_shape_mismatch_names_both_dims(self):
-        rng = np.random.default_rng(6)
-        m = rand_cmatrix(rng, 4, 2)
-        x = ComplexVector.from_complex(random_complex(rng, 3))
-        with pytest.raises(ValueError, match="4"):
-            linalg.apply(m, x)
-        with pytest.raises(ValueError, match="3"):
-            linalg.apply_embedded(m, x)
+        np.testing.assert_allclose(apply_embedded(m, x)[0], expected, atol=1e-12)
 
 
 class TestSvd:

@@ -18,7 +18,7 @@ from conftest import (
     tiny_batch,
     tiny_model,
 )
-from qocnn import data, layers, model as model_mod, training
+from qocnn import cli, data, layers, model as model_mod, training
 from qocnn.data import Batch, Dataset
 from qocnn.model import ModelGraph
 from qocnn.training import (
@@ -227,8 +227,10 @@ class TestOptimizers:
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_unknown_optimizer_rejected(self):
+        # one table names the optimizers: TrainConfig checks it, the CLI offers it
         with pytest.raises(ValueError, match="optimizer"):
-            training.make_optimizer("rmsprop", 1e-3)
+            TrainConfig(optimizer="rmsprop")
+        assert cli.OPTIONS["optimizer"].choices == tuple(training.OPTIMIZERS)
 
 
 def small_datasets(n_train=96, n_test=48, seed=20) -> tuple[Dataset, Dataset]:
@@ -320,8 +322,9 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for lr in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
 
@@ -768,7 +771,7 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(
             CheckpointFormatError,
-            match=r"^checkpoint layer 0 \(sinusoid\) is invalid: sinusoid requires lam > 0$",
+            match=r"^checkpoint layer 0 \(sinusoid\) is invalid: sinusoid requires a finite lam > 0$",
         ):
             load_checkpoint(path)
 
