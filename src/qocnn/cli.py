@@ -167,12 +167,16 @@ def config_lines(command: str, eff: dict) -> list[str]:
 
 
 def _require_files(eff: dict, keys: list[str]) -> str | None:
-    """Returns an error message if any required path is absent or missing."""
+    """Returns an error message if any required path is absent, missing or a
+    directory.  Pipes and other readable non-regular files pass."""
     for key in keys:
         if eff[key] is None:
             return f"{_flag(key)} is required"
-        if not Path(eff[key]).exists():
+        path = Path(eff[key])
+        if not path.exists():
             return f"no such file: {eff[key]}"
+        if path.is_dir():
+            return f"{_flag(key)} {eff[key]} is a directory"
     return None
 
 
@@ -345,13 +349,21 @@ def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batc
     return model, data.Batch(x=x, labels=labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_gradcheck(eff: dict) -> int:
     for line in config_lines("gradcheck", eff):
         print(line)
     all_ok = True
     for arch in model_mod.ARCHITECTURES:
         model, batch = tiny_instance(arch, eff["seed"])
-        report = training.grad_check(model, batch, eps=eff["eps"], tol=eff["tol"])
+        try:
+            report = training.grad_check(model, batch, eps=eff["eps"], tol=eff["tol"])
+        except layers.NonFiniteError as exc:
+            _err(f"gradient check on {arch}: {exc}")
+            return EXIT_USAGE
+        except ValueError as exc:  # eps or tol out of range
+            _err(str(exc))
+            return EXIT_USAGE
         print(f"[{arch}]")
         print(report.summary())
         all_ok = all_ok and report.passed
@@ -378,8 +390,9 @@ def _read_sweep_file(path) -> list[resources.WorkloadSpec]:
 
 def cmd_estimate(eff: dict) -> int:
     if eff["sweep"] is not None:
-        if not Path(eff["sweep"]).exists():
-            _err(f"no such file: {eff['sweep']}")
+        problem = _require_files(eff, ["sweep"])
+        if problem:
+            _err(problem)
             return EXIT_USAGE
         try:
             workloads = _read_sweep_file(eff["sweep"])

@@ -103,7 +103,12 @@ def mcc_macro(cm: ConfusionMatrix) -> float:
 
 @dataclass
 class RocCurve:
-    """One-vs-rest curve for a single class, swept over score thresholds."""
+    """One-vs-rest curve for a single class, swept over score thresholds.
+
+    thresholds, fpr and tpr list the vertices of the curve: its first and
+    last points and each point where it turns.  Every other threshold gives
+    a point on the straight segment between two of them.  auc is the
+    trapezoid over every threshold."""
 
     class_id: int
     thresholds: np.ndarray
@@ -141,10 +146,36 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
     valid = ~np.isnan(s)
     pos_sorted = np.sort(s[pos & valid])
     neg_sorted = np.sort(s[~pos & valid])
-    tpr = (pos_sorted.size - np.searchsorted(pos_sorted, thresholds, "left")) / n_pos
-    fpr = (neg_sorted.size - np.searchsorted(neg_sorted, thresholds, "left")) / n_neg
+    tp = pos_sorted.size - np.searchsorted(pos_sorted, thresholds, "left")
+    fp = neg_sorted.size - np.searchsorted(neg_sorted, thresholds, "left")
+    tpr = tp / n_pos
+    fpr = fp / n_neg
     auc = float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
-    return RocCurve(class_id=c, thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
+    keep = _vertices(fp, tp)
+    return RocCurve(
+        class_id=c, thresholds=thresholds[keep], fpr=fpr[keep], tpr=tpr[keep], auc=auc
+    )
+
+
+def _vertices(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Rows of the polyline through the integer points (fp, tp) where it
+    turns, with its first and last rows.
+
+    A row at the same point as the row before it is passed over first, so a
+    zero-length step cannot hide a turn.  A row turns when the int64 cross
+    product of its incoming and outgoing steps is nonzero, or when the
+    outgoing step goes back along the incoming one.
+    """
+    moved = np.ones(fp.shape[0], dtype=bool)
+    moved[1:-1] = (fp[1:-1] != fp[:-2]) | (tp[1:-1] != tp[:-2])
+    rows = np.flatnonzero(moved)
+    dx = np.diff(fp[rows])
+    dy = np.diff(tp[rows])
+    turns = np.ones(rows.shape[0], dtype=bool)
+    turns[1:-1] = (dx[:-1] * dy[1:] != dy[:-1] * dx[1:]) | (
+        dx[:-1] * dx[1:] + dy[:-1] * dy[1:] < 0
+    )
+    return rows[turns]
 
 
 @dataclass

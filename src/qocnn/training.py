@@ -83,8 +83,8 @@ def backward(model: ModelGraph, tape: LossTape) -> list[dict[str, np.ndarray]]:
 
 class SgdOptimizer:
     def __init__(self, learning_rate: float):
-        if learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         self.learning_rate = learning_rate
 
     def step(self, model: ModelGraph, grads: list[dict[str, np.ndarray]]) -> None:
@@ -103,8 +103,8 @@ class AdamOptimizer:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -601,7 +601,12 @@ def grad_check(
 
     Components whose perturbation flips a max-pool argmax or a mod_softplus
     branch are skipped (the loss is not differentiable there), not failed.
+    eps must be finite and > 0, and tol finite and >= 0.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if model.num_params() > GRAD_CHECK_PARAM_CAP:
         raise ValueError(
             f"model has {model.num_params()} real parameters, grad_check caps "
@@ -624,11 +629,18 @@ def grad_check(
             gview = np.ascontiguousarray(grads[i][name]).view(np.float64).ravel()
             for j in range(view.size):
                 orig = view[j]
-                view[j] = orig + eps
-                plus, sig_plus = loss_and_sig()
-                view[j] = orig - eps
-                minus, sig_minus = loss_and_sig()
-                view[j] = orig
+                try:
+                    view[j] = orig + eps
+                    plus, sig_plus = loss_and_sig()
+                    view[j] = orig - eps
+                    minus, sig_minus = loss_and_sig()
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
+                        f"layer {i} ({spec.kind}) parameter {name} moved by "
+                        f"eps={eps!r}: {exc}"
+                    ) from exc
+                finally:
+                    view[j] = orig
                 if sig_plus != sig_minus:
                     skipped += 1
                     continue

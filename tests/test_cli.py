@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qocnn import cli, layers, model as model_mod, training
+from qocnn import cli, data, layers, metrics, model as model_mod, training
+from test_metrics import roc_by_threshold_loop, roc_vertex_oracle
 
 
 def run(argv, capsys):
@@ -130,6 +132,26 @@ class TestEstimate:
         code, _, err = run(["estimate", "--sweep", str(sweep)], capsys)
         assert code == 2
         assert "b" in err
+
+
+    def test_sweep_directory_exits_2(self, tmp_path, capsys):
+        code, out, err = run(["estimate", "--sweep", str(tmp_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: --sweep {tmp_path} is a directory\n")
+
+    def test_sweep_from_a_pipe(self, tmp_path, capsys):
+        fifo = tmp_path / "sweep.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("L,n,b\n1,1,1\n",))
+        writer.start()
+        try:
+            code, out, _ = run(["estimate", "--sweep", str(fifo)], capsys)
+        finally:
+            if writer.is_alive():  # release a writer whose reader never came
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 0
+        assert out.splitlines()[1].startswith("1,1,1,")
 
 
 class TestTrain:
@@ -467,6 +489,46 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_checkpoint_directory_exits_2(self, synth_idx_files, tmp_path, capsys):
+        args = evaluate_args(synth_idx_files, tmp_path, tmp_path / "out")
+        code, out, err = run(args, capsys)
+        assert (code, out, err) == (2, "", f"error: --checkpoint {tmp_path} is a directory\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_roc_csvs_list_the_vertices_of_the_full_sweep(
+        self, synth_idx_files, trained_run, tmp_path, capsys
+    ):
+        code, _, _ = run(
+            evaluate_args(synth_idx_files, trained_run / "model.ckpt", tmp_path), capsys
+        )
+        assert code == 0
+        model = training.load_checkpoint(trained_run / "model.ckpt")
+        ds = data.Dataset.load(
+            synth_idx_files["test_images"], synth_idx_files["test_labels"], "test"
+        )
+        scores = np.exp(training.predict_log_probs(model, ds))
+        preds = scores.argmax(axis=1)
+        cm = metrics.confusion(preds, ds.labels)
+        rows = [("accuracy", metrics.accuracy(preds, ds.labels))]
+        rows += [("mcc_macro", metrics.mcc_macro(cm))]
+        rows += [(f"mcc_class_{c}", v) for c, v in enumerate(metrics.mcc_per_class(cm))]
+        assert (tmp_path / "metrics.csv").read_text() == "metric,value\n" + "".join(
+            f"{k},{v:.10g}\n" for k, v in rows
+        )
+        auc_lines = ["class,auc"]
+        for c in range(10):
+            thresholds, fp, tp, fpr, tpr, auc = roc_by_threshold_loop(scores, ds.labels, c)
+            auc_lines.append(f"{c},{auc:.10g}")
+            full = ["%.10g,%.10g,%.10g" % r for r in zip(thresholds, fpr, tpr)]
+            got = (tmp_path / f"roc_class_{c}.csv").read_text().splitlines()
+            assert got[0] == "threshold,fpr,tpr"
+            assert got[1:] == [full[i] for i in roc_vertex_oracle(fp, tp)]
+            assert (got[1], got[-1]) == ("inf,0,0", "-inf,1,1")
+            assert len(got) - 1 < len(full)
+            rest = iter(full)  # an ordered subset of the full rendering
+            assert all(line in rest for line in got[1:])
+        assert (tmp_path / "auc_summary.csv").read_text() == "\n".join(auc_lines) + "\n"
+
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_dir_that_is_a_file_exits_2(
         self, below, synth_idx_files, trained_run, tmp_path, capsys
@@ -505,6 +567,30 @@ class TestGradcheckCommand:
         assert code == 5
         assert "FAIL" in out
         assert "gradient check failed" in err
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eps", "0", "error: eps must be finite and > 0, got 0.0\n"),
+            ("--eps", "nan", "error: eps must be finite and > 0, got nan\n"),
+            ("--tol", "nan", "error: tol must be finite and >= 0, got nan\n"),
+        ],
+    )
+    def test_bad_eps_or_tol_exits_2(self, flag, value, message, capsys):
+        code, out, err = run(["gradcheck", flag, value], capsys)
+        assert (code, err) == (2, message)
+        assert "[onn]" not in out
+
+    def test_overflowing_eps_exits_2_naming_the_layer(self, capsys):
+        code, out, err = run(["gradcheck", "--eps", "1e300"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "error: gradient check on onn: layer 0 (complex_linear) parameter M "
+            "moved by eps=1e+300: layer 4 (log_softmax): "
+        )
+        assert "[onn]" not in out
 
 
 class TestExport:
@@ -578,6 +664,11 @@ class TestExport:
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["export", "--checkpoint", str(tmp_path / "x.ckpt")], capsys)
         assert code == 2
+
+    def test_checkpoint_directory_exits_2(self, tmp_path, capsys):
+        code, out, err = run(["export", "--checkpoint", str(tmp_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: --checkpoint {tmp_path} is a directory\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")

@@ -212,40 +212,123 @@ def auc_by_threshold_enumeration(s, pos) -> float:
 
 
 def roc_by_threshold_loop(scores, labels, c):
-    """The sweep with one full pass over the samples per threshold."""
+    """The full sweep with one pass over the samples per threshold; returns
+    the thresholds, the integer counts fp and tp, fpr, tpr and the AUC."""
     s = scores[:, c]
     pos = labels == c
     n_pos = int(pos.sum())
     n_neg = int(labels.shape[0] - n_pos)
     thresholds = np.concatenate(([np.inf], np.unique(s)[::-1], [-np.inf]))
-    fpr = np.empty(thresholds.shape[0])
-    tpr = np.empty(thresholds.shape[0])
-    for i, t in enumerate(thresholds):
-        predicted = s >= t
-        tpr[i] = (predicted & pos).sum() / n_pos
-        fpr[i] = (predicted & ~pos).sum() / n_neg
+    fp = [int((s >= t)[~pos].sum()) for t in thresholds]
+    tp = [int((s >= t)[pos].sum()) for t in thresholds]
+    fpr = np.array(fp) / n_neg
+    tpr = np.array(tp) / n_pos
     auc = float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
-    return thresholds, fpr, tpr, auc
+    return thresholds, fp, tp, fpr, tpr, auc
+
+
+def roc_vertex_oracle(fp, tp) -> list[int]:
+    """Rows of the full sweep that are vertices of its polyline, in Python
+    integers: a row at the point of the row before it is skipped, the last
+    row stands for the rows at its point just before it, and an inner row
+    is kept when its incoming and outgoing steps, reduced by their gcd,
+    point in different directions."""
+    points = list(zip(fp, tp))
+    last = len(points) - 1
+    rows = [i for i in range(last) if i == 0 or points[i] != points[i - 1]]
+    while len(rows) > 1 and points[rows[-1]] == points[last]:
+        rows.pop()
+    rows.append(last)
+
+    def direction(a, b):
+        dx, dy = points[b][0] - points[a][0], points[b][1] - points[a][1]
+        g = math.gcd(dx, dy)
+        return dx // g, dy // g
+
+    inner = [
+        j for i, j, k in zip(rows, rows[1:], rows[2:])
+        if direction(i, j) != direction(j, k)
+    ]
+    return [rows[0]] + inner + [rows[-1]]
+
+
+def roc_trials():
+    """(scores, labels) with distinct scores, heavy ties, and NaN and +-inf
+    scores in class 0."""
+    rng = np.random.default_rng(14)
+    for trial in range(4):
+        n = 2000
+        labels = rng.integers(0, 10, n)
+        scores = rng.dirichlet(np.ones(10), n)
+        if trial % 2:
+            scores = np.round(scores, 2)  # heavy ties
+        if trial == 3:
+            scores[:5, 0] = [np.nan, np.inf, -np.inf, np.nan, 0.5]
+        yield scores, labels
+
+
+def on_segment(a, b, p) -> bool:
+    """Whether the integer point p lies on the closed segment a-b."""
+    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    return cross == 0 and all(min(u, v) <= w <= max(u, v) for u, v, w in zip(a, b, p))
 
 
 class TestRocCurve:
     def test_matches_loop_oracle_bitwise(self):
-        rng = np.random.default_rng(14)
-        for trial in range(4):
-            n = 2000
-            labels = rng.integers(0, 10, n)
-            scores = rng.dirichlet(np.ones(10), n)
-            if trial % 2:
-                scores = np.round(scores, 2)  # heavy ties
-            if trial == 3:
-                scores[:5, 0] = [np.nan, np.inf, -np.inf, np.nan, 0.5]
+        for scores, labels in roc_trials():
             for c in range(10):
                 curve = roc_curve(scores, labels, c)
-                thresholds, fpr, tpr, auc = roc_by_threshold_loop(scores, labels, c)
-                assert curve.thresholds.tobytes() == thresholds.tobytes()
-                assert curve.fpr.tobytes() == fpr.tobytes()
-                assert curve.tpr.tobytes() == tpr.tobytes()
+                thresholds, fp, tp, fpr, tpr, auc = roc_by_threshold_loop(scores, labels, c)
+                rows = roc_vertex_oracle(fp, tp)
+                assert curve.thresholds.tobytes() == thresholds[rows].tobytes()
+                assert curve.fpr.tobytes() == fpr[rows].tobytes()
+                assert curve.tpr.tobytes() == tpr[rows].tobytes()
                 assert curve.auc == auc
+
+    def test_every_threshold_lies_on_the_kept_polyline(self):
+        for scores, labels in roc_trials():
+            for c in range(10):
+                curve = roc_curve(scores, labels, c)
+                _, fp, tp, _, _, _ = roc_by_threshold_loop(scores, labels, c)
+                n_pos, n_neg = int((labels == c).sum()), int((labels != c).sum())
+                kept = list(
+                    zip(np.rint(curve.fpr * n_neg).astype(int).tolist(),
+                        np.rint(curve.tpr * n_pos).astype(int).tolist())
+                )
+                assert [f / n_neg for f, _ in kept] == curve.fpr.tolist()
+                assert [t / n_pos for _, t in kept] == curve.tpr.tolist()
+                assert kept[0] == (fp[0], tp[0]) and kept[-1] == (fp[-1], tp[-1])
+                # walk the full sweep in order along the kept segments
+                j = 0
+                for point in zip(fp, tp):
+                    while not on_segment(kept[j], kept[j + 1], point):
+                        j += 1
+                        assert j < len(kept) - 1, f"class {c}: {point} is off the curve"
+
+    def test_perfect_separation_keeps_three_rows(self):
+        scores, labels = two_class_scores([0.9, 0.8, 0.7], [0.3, 0.2, 0.1])
+        curve = roc_curve(scores, labels, c=1)
+        assert curve.thresholds.tolist() == [np.inf, 0.7, -np.inf]
+        assert curve.fpr.tolist() == [0.0, 0.0, 1.0]
+        assert curve.tpr.tolist() == [0.0, 1.0, 1.0]
+
+    def test_repeated_points_are_dropped_before_the_turn_test(self):
+        # the NaN threshold repeats the +inf row's point, and the appended
+        # -inf repeats the point of the -inf score
+        scores, labels = two_class_scores([0.9, np.nan], [-np.inf, 0.5])
+        curve = roc_curve(scores, labels, c=1)
+        assert curve.thresholds.tolist() == [np.inf, 0.9, -np.inf]
+        assert curve.fpr.tolist() == [0.0, 0.0, 1.0]
+        assert curve.tpr.tolist() == [0.0, 0.5, 0.5]
+
+    def test_repeated_point_does_not_hide_a_turn(self):
+        # (0,0) (0,1) (0,1) (1,1): the curve turns at (0,1), which the
+        # zero-length step between its two rows would hide from a turn test
+        # that saw both
+        fp = np.array([0, 0, 0, 1], dtype=np.int64)
+        tp = np.array([0, 1, 1, 1], dtype=np.int64)
+        assert metrics._vertices(fp, tp).tolist() == [0, 1, 3]
+        assert roc_vertex_oracle(fp.tolist(), tp.tolist()) == [0, 1, 3]
 
     def test_hand_case_auc(self):
         scores, labels = two_class_scores([0.9, 0.4], [0.6, 0.1])

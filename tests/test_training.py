@@ -186,6 +186,12 @@ class TestOptimizers:
                 for name in p:
                     np.testing.assert_array_equal(p[name], s[name])
 
+    @pytest.mark.parametrize("cls", [SgdOptimizer, AdamOptimizer])
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_learning_rate_rejected(self, cls, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and >= 0"):
+            cls(lr)
+
     def test_adam_matches_reference_formula(self):
         # independent textbook implementation on the flattened real view
         m = tiny_model("qonn", seed=15)
@@ -870,3 +876,37 @@ class TestGradCheck:
         assert not report.passed
         failing = [l for l in report.layers if l.max_rel_err > report.tol]
         assert failing and failing[0].kind == "complex_linear"
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eps": 0.0}, "eps must be finite and > 0"),
+            ({"eps": -1e-5}, "eps must be finite and > 0"),
+            ({"eps": math.nan}, "eps must be finite and > 0"),
+            ({"eps": math.inf}, "eps must be finite and > 0"),
+            ({"tol": -1.0}, "tol must be finite and >= 0"),
+            ({"tol": math.nan}, "tol must be finite and >= 0"),
+            ({"tol": math.inf}, "tol must be finite and >= 0"),
+        ],
+    )
+    def test_bad_eps_or_tol_rejected(self, kwargs, message):
+        m = tiny_model("onn", seed=31)
+        with pytest.raises(ValueError, match=message):
+            grad_check(m, tiny_batch(m, seed=32), **kwargs)
+
+    def test_zero_tol_is_legal(self):
+        m = tiny_model("onn", seed=31)
+        report = grad_check(m, tiny_batch(m, seed=32), tol=0.0)
+        assert report.tol == 0.0
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_overflowing_eps_names_the_layer_and_restores_params(self):
+        m = tiny_model("onn", seed=33)
+        snapshot = [{k: v.copy() for k, v in p.items()} for p in m.params]
+        with pytest.raises(
+            layers.NonFiniteError, match=r"layer 0 \(complex_linear\) parameter M moved by eps=1e\+300"
+        ):
+            grad_check(m, tiny_batch(m, seed=34), eps=1e300)
+        for p, snap in zip(m.params, snapshot):
+            for name in p:
+                assert p[name].tobytes() == snap[name].tobytes()
