@@ -105,10 +105,8 @@ def mcc_macro(cm: ConfusionMatrix) -> float:
 class RocCurve:
     """One-vs-rest curve for a single class, swept over score thresholds.
 
-    thresholds, fpr and tpr list the vertices of the curve: its first and
-    last points and each point where it turns.  Every other threshold gives
-    a point on the straight segment between two of them.  auc is the
-    trapezoid over every threshold."""
+    thresholds, fpr and tpr list the curve's vertices, its first and last
+    points included; auc is the trapezoid over every threshold."""
 
     class_id: int
     thresholds: np.ndarray
@@ -158,14 +156,10 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
 
 
 def _vertices(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
-    """Rows of the polyline through the integer points (fp, tp) where it
-    turns, with its first and last rows.
-
-    A row at the same point as the row before it is passed over first, so a
-    zero-length step cannot hide a turn.  A row turns when the int64 cross
-    product of its incoming and outgoing steps is nonzero, or when the
-    outgoing step goes back along the incoming one.
-    """
+    """Rows where the polyline through the integer points (fp, tp) turns,
+    with its first and last rows.  A row at the point of the row before it
+    is skipped first, so a zero-length step cannot hide a turn; a turn is a
+    nonzero cross product of the steps in and out, or a step back."""
     moved = np.ones(fp.shape[0], dtype=bool)
     moved[1:-1] = (fp[1:-1] != fp[:-2]) | (tp[1:-1] != tp[:-2])
     rows = np.flatnonzero(moved)
