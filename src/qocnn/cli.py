@@ -155,6 +155,8 @@ def effective_config(args) -> dict:
     for key in eff:
         if getattr(args, key) is not None:
             eff[key] = getattr(args, key)
+    if eff.get("seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {eff['seed']}")
     return eff
 
 
@@ -426,8 +428,15 @@ def cmd_estimate(eff: dict) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_export(eff: dict) -> int:
-    problem = _require_files(eff, ["checkpoint"])
+    if eff["out"]:
+        out = Path(eff["out"])
+        out_problem = f"--out {out} is a directory" if out.is_dir() else None
+    else:
+        out = Path(eff["out_dir"]) / "model.json"
+        out_problem = _out_dir_problem(eff)
+    problem = _require_files(eff, ["checkpoint"]) or out_problem
     if problem:
         _err(problem)
         return EXIT_USAGE
@@ -440,11 +449,20 @@ def cmd_export(eff: dict) -> int:
     for i, (spec, params) in enumerate(zip(model.specs, model.params)):
         record = dataclasses.asdict(spec)  # LayerSpec fields
         if spec.kind == "complex_linear":
+            m = params["M"]
+        elif spec.kind == "quantum_conv":
+            # the block path applied to I gives M_f = M_1 ... M_n
+            eye = np.eye(spec.in_dim, dtype=np.complex128)
+            m, _ = layers.layer_forward(spec, params, eye)
+        else:
+            m = None
+        if m is not None:
             try:
-                m = linalg.ComplexMatrix.from_complex(params["M"])
-                f = linalg.amplification_normalize(linalg.svd(m))
-            except ValueError as exc:  # inf or NaN in M
-                _err(f"checkpoint layer {i} (complex_linear): {exc}")
+                f = linalg.amplification_normalize(
+                    linalg.svd(linalg.ComplexMatrix.from_complex(m))
+                )
+            except ValueError as exc:  # inf or NaN in M or M_f
+                _err(f"checkpoint layer {i} ({spec.kind}): {exc}")
                 return EXIT_CHECKPOINT
             record.update(beta=f.beta, sigma_min_over_max=float(f.sigma.min()))
         records.append(record)
@@ -455,8 +473,11 @@ def cmd_export(eff: dict) -> int:
         "num_real_params": model.num_params(),
         "layers": records,
     }
-    out = Path(eff["out"]) if eff["out"] else Path(eff["out_dir"]) / "model.json"
-    fileio.atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
+    try:
+        fileio.atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        _err(f"cannot write outputs: {exc}")
+        return EXIT_USAGE
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -17,7 +17,6 @@ ModelGraph the parameter shapes, and layer_forward the input width.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -86,6 +85,8 @@ def conv_spec(d: int, k: int, s: int) -> LayerSpec:
 
 
 def pool_spec(n: int, w: int = 2, p: int = 2) -> LayerSpec:
+    if p < 1:  # pooled_len divides by p before LayerSpec can check it
+        raise ValueError(f"pooling stride p must be >= 1, got {p}")
     return LayerSpec("split_max_pool", n, pooled_len(n, w, p), w=w, p=p)
 
 
@@ -216,27 +217,17 @@ def log_softmax_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
 # translationally invariant convolution through matrix composition
 
 
-class Placement(NamedTuple):
-    """Positions of kernel entries inside one composition matrix."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    ky: np.ndarray
-    kz: np.ndarray
-
-
 @dataclass
 class ConvPlan:
     """Derived convolution geometry for one kernel.
 
     n = ceil(k/s) matrices each carry non-overlapping copies of the kernel
     spaced k + s0 = n*s apart; matrix i is matrix i-1 shifted by s down the
-    diagonal with shifted-out entries dropped.  Their product m_f applied to
+    diagonal with shifted-out entries dropped.  Their product M_f applied to
     a row vector emulates the overlapping-window convolution.
 
     conv_forward and conv_backward apply each matrix block by block and never
-    form it.  The dense d x d `matrices` and `m_f` are built on first access
-    only, as the oracle the block path is checked against.
+    form it; conv_forward of the identity gives M_f.
     """
 
     d: int
@@ -246,78 +237,21 @@ class ConvPlan:
     s0: int
     k_tot: int
     kernel: np.ndarray
-    placements: list[Placement]
-
-    @functools.cached_property
-    def matrices(self) -> list[np.ndarray]:
-        out = []
-        for pl in self.placements:
-            m = np.zeros((self.d, self.d), dtype=np.complex128)
-            m[pl.rows, pl.cols] = self.kernel[pl.ky, pl.kz]
-            out.append(m)
-        return out
-
-    @functools.cached_property
-    def m_f(self) -> np.ndarray:
-        return functools.reduce(np.matmul, self.matrices)
 
 
-@functools.lru_cache(maxsize=None)
-def conv_geometry(d: int, k: int, s: int) -> tuple[int, int, int, tuple[Placement, ...]]:
-    """Kernel placement indices for each composition matrix, cached per (d, k, s)."""
-    if s < 1:
-        raise ValueError(f"stepsize must be >= 1, got {s}")
-    if not 1 <= k <= d:
-        raise ValueError(f"kernel side {k} must lie in 1..{d}")
+def conv_geometry(d: int, k: int, s: int) -> tuple[int, int, int]:
+    """(n, s0, k_tot): the matrix count, the gap between kernel copies and
+    the number of copies per matrix, for 1 <= k <= d and s >= 1."""
     n = -(-k // s)
-    s0 = n * s - k
-    k_tot = -(-d // (n * s))
-    base_rows, base_cols, base_ky, base_kz = [], [], [], []
-    for x in range(k_tot):
-        base = x * (k + s0)
-        for y in range(k):
-            if base + y >= d:
-                continue
-            for z in range(k):
-                if base + z >= d:
-                    continue
-                base_rows.append(base + y)
-                base_cols.append(base + z)
-                base_ky.append(y)
-                base_kz.append(z)
-    rows = np.asarray(base_rows, dtype=np.intp)
-    cols = np.asarray(base_cols, dtype=np.intp)
-    ky = np.asarray(base_ky, dtype=np.intp)
-    kz = np.asarray(base_kz, dtype=np.intp)
-    placements = []
-    for i in range(n):
-        shift = i * s
-        keep = (rows + shift < d) & (cols + shift < d)
-        placements.append(
-            Placement(rows[keep] + shift, cols[keep] + shift, ky[keep], kz[keep])
-        )
-    for pl in placements:
-        for arr in pl:
-            arr.setflags(write=False)
-    return n, s0, k_tot, tuple(placements)
+    return n, n * s - k, -(-d // (n * s))
 
 
 def build_conv_plan(kernel: np.ndarray, d: int, k: int, s: int) -> ConvPlan:
-    """Validate a k x k kernel and attach the cached geometry of (d, k, s)."""
+    """Validate a k x k kernel and attach the geometry of (d, k, s)."""
     kernel = np.asarray(kernel, dtype=np.complex128)
     if kernel.shape != (k, k):
         raise ValueError(f"kernel must have shape ({k}, {k}), got {kernel.shape}")
-    n, s0, k_tot, placements = conv_geometry(d, k, s)
-    return ConvPlan(
-        d=d,
-        k=k,
-        s=s,
-        n=n,
-        s0=s0,
-        k_tot=k_tot,
-        kernel=kernel,
-        placements=list(placements),
-    )
+    return ConvPlan(d, k, s, *conv_geometry(d, k, s), kernel)
 
 
 def _to_blocks(a: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
@@ -509,8 +443,6 @@ def _check_sinusoid(spec: LayerSpec) -> None:
 
 
 def _check_conv(spec: LayerSpec) -> None:
-    # Arithmetic only: a corrupt checkpoint can ask for in_dim of 2**31 or more,
-    # and conv_geometry would build index lists of that length.
     if spec.k is None or spec.s is None:
         raise ValueError("quantum_conv requires kernel side k and stepsize s")
     if spec.s < 1:

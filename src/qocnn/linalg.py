@@ -63,15 +63,6 @@ def svd(m: ComplexMatrix) -> SvdFactors:
     )
 
 
-def reconstruct(f: SvdFactors) -> ComplexMatrix:
-    """Product beta * V @ diag(sigma) @ U with a rectangular diagonal."""
-    diag = np.zeros((f.V.re.shape[0], f.U.re.shape[0]))
-    np.fill_diagonal(diag, f.sigma)
-    return ComplexMatrix.from_complex(
-        f.beta * (f.V.to_complex() @ diag @ f.U.to_complex())
-    )
-
-
 def amplification_normalize(f: SvdFactors) -> SvdFactors:
     """Pull a uniform scale beta out of sigma so that max(sigma) <= 1.
 

@@ -118,7 +118,8 @@ class RocCurve:
 def roc_curve(scores, labels, c: int) -> RocCurve:
     """Threshold sweep for class c; a sample is predicted positive when its
     class-c score is >= the threshold.  Thresholds are the distinct observed
-    scores bracketed by +-inf so the curve runs from (0,0) to (1,1)."""
+    scores bracketed by +-inf so the curve runs from (0,0) to (1,1).  Every
+    class-c score must be finite."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = _as_label_array(labels, "labels")
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
@@ -128,6 +129,9 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
     if not 0 <= c < scores.shape[1]:
         raise ValueError(f"class {c} out of range 0..{scores.shape[1] - 1}")
     s = scores[:, c]
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise ValueError(f"class {c} has a non-finite score in row {bad[0]}")
     pos = labels == c
     n_pos = int(pos.sum())
     n_neg = int(labels.shape[0] - n_pos)
@@ -139,11 +143,9 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
     thresholds = np.concatenate(
         ([np.inf], np.unique(s)[::-1], [-np.inf])
     )
-    # Count s >= t by binary search in each side's sorted scores; a NaN score
-    # passes no threshold, so it is left out of both.
-    valid = ~np.isnan(s)
-    pos_sorted = np.sort(s[pos & valid])
-    neg_sorted = np.sort(s[~pos & valid])
+    # Count s >= t by binary search in each side's sorted scores.
+    pos_sorted = np.sort(s[pos])
+    neg_sorted = np.sort(s[~pos])
     tp = pos_sorted.size - np.searchsorted(pos_sorted, thresholds, "left")
     fp = neg_sorted.size - np.searchsorted(neg_sorted, thresholds, "left")
     tpr = tp / n_pos
@@ -157,19 +159,15 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
 
 def _vertices(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
     """Rows where the polyline through the integer points (fp, tp) turns,
-    with its first and last rows.  A row at the point of the row before it
-    is skipped first, so a zero-length step cannot hide a turn; a turn is a
-    nonzero cross product of the steps in and out, or a step back."""
-    moved = np.ones(fp.shape[0], dtype=bool)
-    moved[1:-1] = (fp[1:-1] != fp[:-2]) | (tp[1:-1] != tp[:-2])
-    rows = np.flatnonzero(moved)
-    dx = np.diff(fp[rows])
-    dy = np.diff(tp[rows])
-    turns = np.ones(rows.shape[0], dtype=bool)
-    turns[1:-1] = (dx[:-1] * dy[1:] != dy[:-1] * dx[1:]) | (
-        dx[:-1] * dx[1:] + dy[:-1] * dy[1:] < 0
-    )
-    return rows[turns]
+    with its first and last rows; a turn is a nonzero cross product of the
+    steps in and out.  With finite scores tp and fp never decrease, and only
+    the last row can repeat the point before it: the zero-length step then
+    drops that earlier row."""
+    dx = np.diff(fp)
+    dy = np.diff(tp)
+    turns = np.ones(fp.shape[0], dtype=bool)
+    turns[1:-1] = dx[:-1] * dy[1:] != dy[:-1] * dx[1:]
+    return np.flatnonzero(turns)
 
 
 @dataclass

@@ -60,17 +60,6 @@ class ModelGraph:
         """Count of real trainable parameters (re and im counted separately)."""
         return sum(2 * arr.size for p in self.params for arr in p.values())
 
-    def copy(self) -> "ModelGraph":
-        return ModelGraph(
-            arch=self.arch,
-            specs=list(self.specs),
-            params=[
-                {name: arr.copy() for name, arr in p.items()} for p in self.params
-            ],
-            seed=self.seed,
-            meta=dict(self.meta),
-        )
-
 
 def architecture_specs(
     arch: str,

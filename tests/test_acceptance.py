@@ -19,7 +19,15 @@ from conftest import (
     tiny_batch,
     tiny_model,
 )
-from test_conv import all_cases, geometry_oracle, naive_m1, naive_shift
+from test_conv import (
+    all_cases,
+    block_stage,
+    dense_matrices,
+    geometry_oracle,
+    naive_m1,
+    naive_shift,
+)
+from test_linalg import svd_product
 
 from qocnn import layers, linalg, metrics, resources, training
 from qocnn.data import Dataset
@@ -127,27 +135,27 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_convolution_construction_oracle():
-    """Exhaustive D <= 12, k <= 4, s <= k: construction matches the naive
-    placement oracle, each matrix is the shift of its predecessor, and the
-    composed product equals sequential application to 1e-12."""
+    """Exhaustive D <= 12, k <= 4, s <= k: each stage of the block path,
+    applied to the identity, matches the naive placement oracle and the shift
+    of its predecessor, and the whole path equals sequential application of
+    the naive matrices to 1e-12."""
     rng = np.random.default_rng(3)
     cases = 0
     for d, k, s in all_cases(d_max=12, k_max=4):
         kernel = random_complex(rng, (k, k))
         plan = layers.build_conv_plan(kernel, d, k, s)
         assert (plan.n, plan.s0, plan.k_tot) == geometry_oracle(d, k, s)
-        np.testing.assert_array_equal(plan.matrices[0], naive_m1(kernel, d, k, s))
+        eye = np.eye(d, dtype=np.complex128)
+        stages = [block_stage(eye, plan, i) for i in range(plan.n)]
+        np.testing.assert_array_equal(stages[0], naive_m1(kernel, d, k, s))
         for i in range(1, plan.n):
-            np.testing.assert_array_equal(
-                plan.matrices[i], naive_shift(plan.matrices[i - 1], s)
-            )
+            np.testing.assert_array_equal(stages[i], naive_shift(stages[i - 1], s))
         x = random_complex(rng, (3, d))
         seq = x
-        for m_i in plan.matrices:
+        for m_i in dense_matrices(kernel, d, k, s):
             seq = seq @ m_i
-        assert np.abs(seq - x @ plan.m_f).max() <= 1e-12 * max(
-            1.0, np.abs(seq).max()
-        )
+        y, _ = layers.conv_forward(x, plan)
+        assert np.abs(seq - y).max() <= 1e-12 * max(1.0, np.abs(seq).max())
         cases += 1
     assert cases == sum(1 for _ in all_cases())
     print(f"criterion 2 PASS: {cases} (D, k, s) cases match the naive oracles")
@@ -162,7 +170,7 @@ def test_criterion_3_svd_amplification():
         m = ComplexMatrix.from_complex(random_complex(rng, (n1, n2)))
         f = linalg.amplification_normalize(linalg.svd(m))
         assert f.sigma.max() <= 1.0 + 1e-15
-        rec = linalg.reconstruct(f).to_complex()
+        rec = svd_product(f)
         scale = np.abs(m.to_complex()).max()
         assert np.abs(rec - m.to_complex()).max() <= 1e-8 * scale
         v = f.V.to_complex()

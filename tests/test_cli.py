@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tiny_model
 from qocnn import cli, data, layers, metrics, model as model_mod, training
+from test_conv import dense_m_f
 from test_metrics import roc_by_threshold_loop, roc_vertex_oracle
 
 
@@ -245,6 +247,22 @@ class TestTrain:
         assert err == f"error: --out-dir {taken} exists and is not a directory\n"
         assert "epoch" not in out  # refused before training
         assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--arch", "qocnn", "--pool-p", "0"], "pooling stride p must be >= 1, got 0"),
+            (["--seed=-1"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["pool-p", "seed"],
+    )
+    def test_bad_integer_option_exits_2(
+        self, extra, message, synth_idx_files, tmp_path, capsys
+    ):
+        code, out, err = run(train_args(synth_idx_files, tmp_path / "out", extra), capsys)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert "epoch 1:" not in out  # refused before training
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_checkpoint_exits_2(self, synth_idx_files, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -582,6 +600,10 @@ class TestGradcheckCommand:
         assert (code, err) == (2, message)
         assert "[onn]" not in out
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(["gradcheck", "--seed=-1"], capsys)
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+
     def test_overflowing_eps_exits_2_naming_the_layer(self, capsys):
         code, out, err = run(["gradcheck", "--eps", "1e300"], capsys)
         assert code == 2
@@ -645,6 +667,65 @@ class TestExport:
             "error: checkpoint layer 2 (complex_linear): matrix entries must be finite\n"
         )
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "tiny"])
+    def test_quantum_conv_entry_carries_beta_of_m_f(self, small, tmp_path, capsys):
+        m = tiny_model("qocnn", seed=6) if small else model_mod.new_model("qocnn", seed=6)
+        training.save_checkpoint(m, tmp_path / "qocnn.ckpt")
+        out_path = tmp_path / "model.json"
+        code, _, _ = run(
+            ["export", "--checkpoint", str(tmp_path / "qocnn.ckpt"), "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        record = json.loads(out_path.read_text())["layers"][0]
+        spec = m.specs[0]
+        assert record["kind"] == "quantum_conv"
+        sigma = np.linalg.svd(
+            dense_m_f(m.params[0]["K"], spec.in_dim, spec.k, spec.s), compute_uv=False
+        )
+        assert abs(record["beta"] - sigma[0]) <= 1e-12 * sigma[0]
+        # a ratio to sigma_max, so 1e-12 relative to sigma_max
+        assert abs(record["sigma_min_over_max"] - sigma[-1] / sigma[0]) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_exits_4(self, bad, tmp_path, capsys):
+        m = model_mod.new_model("qocnn", seed=5)
+        m.params[0]["K"][1, 2] = bad
+        training.save_checkpoint(m, tmp_path / "bad.ckpt")
+        out_path = tmp_path / "model.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                ["export", "--checkpoint", str(tmp_path / "bad.ckpt"), "--out", str(out_path)],
+                capsys,
+            )
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: checkpoint layer 0 (quantum_conv): matrix entries must be finite\n"
+        )
+        assert [str(w.message) for w in caught] == []
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("target", ["out-dir", "out-file", "out-under-file"])
+    def test_unwritable_output_exits_2(self, target, trained_run, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        args = ["export", "--checkpoint", str(trained_run / "model.ckpt")]
+        if target == "out-dir":
+            args += ["--out", str(tmp_path)]
+            want = f"error: --out {tmp_path} is a directory\n"
+        elif target == "out-file":
+            args += ["--out-dir", str(taken)]
+            want = f"error: --out-dir {taken} exists and is not a directory\n"
+        else:
+            args += ["--out", str(taken / "model.json")]
+            want = "error: cannot write outputs: "
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(want) and len(err.splitlines()) == 1
+        assert taken.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_relabelled_checkpoint_exits_4(self, trained_run, tmp_path, capsys):
         bad = relabelled_checkpoint(trained_run, tmp_path, "onn")

@@ -1,4 +1,5 @@
-"""Convolution construction vs naive placement/shift oracles, plus gradients."""
+"""The block-path conv against the dense construction M_f = M_1 ... M_n built
+from the paper's definition (naive placement and shift), plus gradients."""
 
 import functools
 import math
@@ -15,7 +16,7 @@ from conftest import (
     packed_view,
     random_complex,
 )
-from qocnn import data, layers, model, training
+from qocnn import layers
 
 
 def geometry_oracle(d: int, k: int, s: int) -> tuple[int, int, int]:
@@ -47,6 +48,33 @@ def naive_shift(prev: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
+def dense_matrices(kernel: np.ndarray, d: int, k: int, s: int) -> list[np.ndarray]:
+    """M_1 .. M_n: the naive placement, then each matrix the shift of the last."""
+    mats = [naive_m1(kernel, d, k, s)]
+    for _ in range(1, geometry_oracle(d, k, s)[0]):
+        mats.append(naive_shift(mats[-1], s))
+    return mats
+
+
+def dense_m_f(kernel: np.ndarray, d: int, k: int, s: int) -> np.ndarray:
+    """M_f = M_1 @ ... @ M_n."""
+    return functools.reduce(np.matmul, dense_matrices(kernel, d, k, s))
+
+
+def unit_kernel(k: int, y: int, z: int) -> np.ndarray:
+    """E_yz: the k x k kernel with a single 1 at (y, z)."""
+    e = np.zeros((k, k), dtype=np.complex128)
+    e[y, z] = 1.0
+    return e
+
+
+def block_stage(x: np.ndarray, plan, i: int) -> np.ndarray:
+    """x @ M_{i+1} through stage i of the block path, as conv_forward runs it."""
+    blocks = layers._float_view(layers._to_blocks(x, plan, i))
+    out = blocks @ layers.real_embedding(plan.kernel)
+    return layers._from_blocks(out.view(np.complex128), plan, i)
+
+
 def naive_window_forward(x: np.ndarray, kernel: np.ndarray, d, k, s) -> np.ndarray:
     """n = 1 only: apply the kernel block independently inside each window."""
     n, s0, k_tot = geometry_oracle(d, k, s)
@@ -74,18 +102,27 @@ def naive_window_grad_k(x, grad_out, d, k, s) -> np.ndarray:
 
 
 def dense_conv_backward(grad_out, x, plan):
-    """Gradients of y = x @ m_f through the dense matrices: grad_x through
-    m_f^H, and the kernel gradient from the prefix and suffix products of the
-    composition matrices, scattered over every placement with np.add.at."""
-    grad_x = grad_out @ plan.m_f.conj().T
+    """Gradients of y = x @ M_f through the dense matrices: grad_x through
+    M_f^H, and the kernel gradient from the prefix and suffix products of the
+    composition matrices.  Entry (y, z) of K sits in M_i where M_i of the
+    unit kernel E_yz is nonzero."""
+    d, k, s = plan.d, plan.k, plan.s
+    mats = dense_matrices(plan.kernel, d, k, s)
+    grad_x = grad_out @ functools.reduce(np.matmul, mats).conj().T
     g_mf = x.conj().T @ grad_out
-    eye = np.eye(plan.d, dtype=np.complex128)
-    grad_k = np.zeros((plan.k, plan.k), dtype=np.complex128)
-    for i, pl in enumerate(plan.placements):
-        prefix = functools.reduce(np.matmul, plan.matrices[:i], eye)
-        suffix = functools.reduce(np.matmul, plan.matrices[i + 1 :], eye)
+    eye = np.eye(d, dtype=np.complex128)
+    placed = {
+        (y, z): dense_matrices(unit_kernel(k, y, z), d, k, s)
+        for y in range(k)
+        for z in range(k)
+    }
+    grad_k = np.zeros((k, k), dtype=np.complex128)
+    for i in range(len(mats)):
+        prefix = functools.reduce(np.matmul, mats[:i], eye)
+        suffix = functools.reduce(np.matmul, mats[i + 1 :], eye)
         g = prefix.conj().T @ g_mf @ suffix.conj().T
-        np.add.at(grad_k, (pl.ky, pl.kz), g[pl.rows, pl.cols])
+        for (y, z), unit in placed.items():
+            grad_k[y, z] += g[unit[i] != 0].sum()
     return grad_x, grad_k
 
 
@@ -103,34 +140,31 @@ def all_cases(d_max=12, k_max=4):
 class TestGeometry:
     @pytest.mark.parametrize("d,k,s", [(20, 5, 5), (20, 5, 2), (392, 4, 2)])
     def test_matches_ceil_arithmetic(self, d, k, s):
-        n, s0, k_tot, _ = layers.conv_geometry(d, k, s)
-        assert (n, s0, k_tot) == geometry_oracle(d, k, s)
+        assert layers.conv_geometry(d, k, s) == geometry_oracle(d, k, s)
 
     def test_nonoverlapping_stride_hand_case(self):
         # k = 5, s = 5: one matrix, no gap, four full kernels in 20
-        n, s0, k_tot, _ = layers.conv_geometry(20, 5, 5)
+        n, s0, k_tot = layers.conv_geometry(20, 5, 5)
         assert (n, s0, k_tot) == (1, 0, 4)
 
     def test_overlapping_stride_hand_case(self):
         # k = 5, s = 2: three matrices, gap 1, ceil(20/6) = 4 kernels each
-        n, s0, k_tot, _ = layers.conv_geometry(20, 5, 2)
+        n, s0, k_tot = layers.conv_geometry(20, 5, 2)
         assert (n, s0, k_tot) == (3, 1, 4)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="stepsize"):
-            layers.conv_geometry(8, 2, 0)
-        with pytest.raises(ValueError, match="kernel side"):
-            layers.conv_geometry(8, 9, 1)
 
 
 class TestConstructionExhaustive:
+    """Each stage of the block path, applied to the identity, against the
+    naive M_1 and the shift chain, and the whole path against their product."""
+
     def test_m1_matches_naive_placement(self):
         rng = np.random.default_rng(0)
         for d, k, s in all_cases():
             kernel = random_complex(rng, (k, k))
             plan = layers.build_conv_plan(kernel, d, k, s)
             np.testing.assert_array_equal(
-                plan.matrices[0], naive_m1(kernel, d, k, s),
+                block_stage(np.eye(d, dtype=np.complex128), plan, 0),
+                naive_m1(kernel, d, k, s),
                 err_msg=f"(d={d}, k={k}, s={s})",
             )
 
@@ -139,9 +173,11 @@ class TestConstructionExhaustive:
         for d, k, s in all_cases():
             kernel = random_complex(rng, (k, k))
             plan = layers.build_conv_plan(kernel, d, k, s)
+            eye = np.eye(d, dtype=np.complex128)
             for i in range(1, plan.n):
                 np.testing.assert_array_equal(
-                    plan.matrices[i], naive_shift(plan.matrices[i - 1], s),
+                    block_stage(eye, plan, i),
+                    naive_shift(block_stage(eye, plan, i - 1), s),
                     err_msg=f"(d={d}, k={k}, s={s}, i={i})",
                 )
 
@@ -151,9 +187,10 @@ class TestConstructionExhaustive:
             kernel = random_complex(rng, (k, k))
             plan = layers.build_conv_plan(kernel, d, k, s)
             prod = np.eye(d, dtype=np.complex128)
-            for m in plan.matrices:
+            for m in dense_matrices(kernel, d, k, s):
                 prod = prod @ m
-            np.testing.assert_allclose(plan.m_f, prod, atol=1e-12)
+            m_f, _ = layers.conv_forward(np.eye(d, dtype=np.complex128), plan)
+            np.testing.assert_allclose(m_f, prod, atol=1e-12)
 
     def test_sequential_application_equals_m_f(self):
         rng = np.random.default_rng(3)
@@ -162,17 +199,26 @@ class TestConstructionExhaustive:
             plan = layers.build_conv_plan(kernel, d, k, s)
             x = random_complex(rng, (2, d))
             seq = x
-            for m in plan.matrices:
+            for m in dense_matrices(kernel, d, k, s):
                 seq = seq @ m
-            np.testing.assert_allclose(seq, x @ plan.m_f, atol=1e-12)
+            y, _ = layers.conv_forward(x, plan)
+            np.testing.assert_allclose(y, seq, atol=1e-12)
+            np.testing.assert_allclose(y, x @ dense_m_f(kernel, d, k, s), atol=1e-12)
 
     def test_blocks_disjoint_within_each_matrix(self):
         for d, k, s in all_cases():
-            n, s0, k_tot, placements = layers.conv_geometry(d, k, s)
-            for pl in placements:
-                cells = list(zip(pl.rows.tolist(), pl.cols.tolist()))
-                assert len(cells) == len(set(cells))
-                blocks = {r - y for r, y in zip(pl.rows.tolist(), pl.ky.tolist())}
+            n, s0, k_tot = geometry_oracle(d, k, s)
+            eye = np.eye(d, dtype=np.complex128)
+            for i in range(n):
+                hits = np.zeros((d, d), dtype=int)
+                blocks = set()
+                for y in range(k):
+                    for z in range(k):
+                        plan = layers.build_conv_plan(unit_kernel(k, y, z), d, k, s)
+                        rows, cols = np.nonzero(block_stage(eye, plan, i))
+                        hits[rows, cols] += 1
+                        blocks |= set((rows - y).tolist())
+                assert hits.max() <= 1, (d, k, s, i)
                 assert len(blocks) <= k_tot
 
     def test_kernel_shape_validated(self):
@@ -203,7 +249,9 @@ class TestConvForward:
             expected = np.zeros((d, d), dtype=np.complex128)
             for i in covered:
                 expected[i, i] = 1.0
-            np.testing.assert_array_equal(plan.m_f, expected)
+            np.testing.assert_array_equal(dense_m_f(plan.kernel, d, k, s), expected)
+            eye = np.eye(d, dtype=np.complex128)
+            np.testing.assert_array_equal(layers.conv_forward(eye, plan)[0], expected)
 
     def test_n_equals_one_matches_window_oracle(self):
         rng = np.random.default_rng(5)
@@ -273,11 +321,12 @@ class TestConvBackward:
         g = random_complex(rng, (1, 12))
         _, cache = layers.conv_forward(x, plan)
         gx, _ = layers.conv_backward(g, cache)
-        np.testing.assert_allclose(gx, g @ plan.m_f.conj().T, atol=1e-12)
+        m_f = dense_m_f(plan.kernel, 12, 3, 2)
+        np.testing.assert_allclose(gx, g @ m_f.conj().T, atol=1e-12)
 
 
 class TestBlockPathMatchesDense:
-    """The block-wise conv against the dense m_f construction."""
+    """The block-wise conv against the dense M_f construction."""
 
     def test_output_and_gradients_within_1e12_relative(self):
         rng = np.random.default_rng(11)
@@ -290,18 +339,11 @@ class TestBlockPathMatchesDense:
             gx, gk = layers.conv_backward(g, cache)
             dense_gx, dense_gk = dense_conv_backward(g, x, plan)
             for name, got, want in (
-                ("y", y, x @ plan.m_f),
+                ("y", y, x @ dense_m_f(kernel, d, k, s)),
                 ("grad_x", gx, dense_gx),
                 ("grad_K", gk, dense_gk),
             ):
                 assert rel_err(got, want) <= 1e-12, f"{name} (d={d}, k={k}, s={s})"
-
-    def test_dense_matrices_built_once_on_first_access(self):
-        rng = np.random.default_rng(12)
-        plan = layers.build_conv_plan(random_complex(rng, (3, 3)), 10, 3, 2)
-        assert "matrices" not in vars(plan) and "m_f" not in vars(plan)
-        assert plan.m_f is plan.m_f
-        assert plan.matrices is plan.matrices
 
 
 class TestRealArithmeticMatchesComplexOracle:
@@ -370,28 +412,6 @@ class TestRealEmbedding:
         x = random_complex(rng, (6, 4))
         got = (x.view(np.float64) @ layers.real_embedding(kernel)).view(np.complex128)
         assert rel_err(got, x @ kernel) <= 1e-15
-
-
-class TestHotPathIsBlockWise:
-    def test_train_and_predict_never_build_a_dense_matrix(self, monkeypatch):
-        def forbidden(plan):
-            raise AssertionError("a dense d x d conv matrix was built")
-
-        monkeypatch.setattr(layers.ConvPlan, "matrices", property(forbidden))
-        monkeypatch.setattr(layers.ConvPlan, "m_f", property(forbidden))
-        rng = np.random.default_rng(13)
-        m = model.new_model("qocnn", seed=0)
-        n = 300  # two predict chunks, the second one short
-        ds = data.Dataset.from_arrays(
-            rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8),
-            rng.integers(0, 10, n),
-            split="test",
-        )
-        batch = data.Batch(x=ds.complex_rows(slice(0, 64)), labels=ds.labels[:64])
-        _, tape = training.forward_loss(m, batch)
-        grads = training.backward(m, tape)
-        assert grads[0]["K"].shape == (4, 4)
-        assert training.predict_log_probs(m, ds).shape == (n, 10)
 
 
 class TestSkippedInputGradient:

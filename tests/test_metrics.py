@@ -253,8 +253,8 @@ def roc_vertex_oracle(fp, tp) -> list[int]:
 
 
 def roc_trials():
-    """(scores, labels) with distinct scores, heavy ties, and NaN and +-inf
-    scores in class 0."""
+    """(scores, labels) with distinct scores, heavy ties, and extreme finite
+    scores (huge, signed zeros, subnormal) in class 0."""
     rng = np.random.default_rng(14)
     for trial in range(4):
         n = 2000
@@ -263,7 +263,7 @@ def roc_trials():
         if trial % 2:
             scores = np.round(scores, 2)  # heavy ties
         if trial == 3:
-            scores[:5, 0] = [np.nan, np.inf, -np.inf, np.nan, 0.5]
+            scores[:5, 0] = [1e308, -1e308, 0.0, -0.0, 5e-324]
         yield scores, labels
 
 
@@ -313,22 +313,24 @@ class TestRocCurve:
         assert curve.tpr.tolist() == [0.0, 1.0, 1.0]
 
     def test_repeated_points_are_dropped_before_the_turn_test(self):
-        # the NaN threshold repeats the +inf row's point, and the appended
-        # -inf repeats the point of the -inf score
-        scores, labels = two_class_scores([0.9, np.nan], [-np.inf, 0.5])
+        # the appended -inf repeats the point of the lowest score, 0.1, whose
+        # row is dropped; the rows at 0.9 and 0.5 are turns
+        scores, labels = two_class_scores([0.9, 0.1], [0.1, 0.5])
         curve = roc_curve(scores, labels, c=1)
-        assert curve.thresholds.tolist() == [np.inf, 0.9, -np.inf]
-        assert curve.fpr.tolist() == [0.0, 0.0, 1.0]
-        assert curve.tpr.tolist() == [0.0, 0.5, 0.5]
+        assert curve.thresholds.tolist() == [np.inf, 0.9, 0.5, -np.inf]
+        assert curve.fpr.tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert curve.tpr.tolist() == [0.0, 0.5, 0.5, 1.0]
 
-    def test_repeated_point_does_not_hide_a_turn(self):
-        # (0,0) (0,1) (0,1) (1,1): the curve turns at (0,1), which the
-        # zero-length step between its two rows would hide from a turn test
-        # that saw both
-        fp = np.array([0, 0, 0, 1], dtype=np.int64)
-        tp = np.array([0, 1, 1, 1], dtype=np.int64)
-        assert metrics._vertices(fp, tp).tolist() == [0, 1, 3]
-        assert roc_vertex_oracle(fp.tolist(), tp.tolist()) == [0, 1, 3]
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores, labels = next(roc_trials())
+        scores[[3, 7], 4] = bad
+        message = "^class 4 has a non-finite score in row 3$"
+        with pytest.raises(ValueError, match=message):
+            roc_curve(scores, labels, 4)
+        with pytest.raises(ValueError, match=message):
+            evaluate_predictions(scores, labels)
+        roc_curve(scores, labels, 5)  # other classes are unaffected
 
     def test_hand_case_auc(self):
         scores, labels = two_class_scores([0.9, 0.4], [0.6, 0.1])
@@ -435,12 +437,11 @@ class TestCsvRenderings:
         n = 600
         labels = rng.integers(0, 10, n)
         scores = rng.random((n, 10))
-        scores[rng.random((n, 10)) < 0.02] = np.nan
         scores[:40] = np.round(scores[:40], 1)  # tied scores
         scores[40:60, 3] = 5e-324 * rng.integers(1, 1000, 20)  # subnormals
         scores[60:70, 4] = -0.0
-        scores[70:75, 5] = np.inf
-        scores[75:80, 5] = -np.inf
+        scores[70:75, 5] = 1.7976931348623157e308
+        scores[75:80, 5] = -1e300
         curves = [roc_curve(scores, labels, c) for c in range(10)]
         curves.append(
             metrics.RocCurve(

@@ -100,12 +100,6 @@ class TestModelGraphValidation:
                 params=[{"M": np.zeros((4, 4), dtype=np.complex128)}],
             )
 
-    def test_copy_is_deep(self):
-        m = tiny_model("qonn")
-        c = m.copy()
-        c.params[0]["M"][0, 0] += 1.0
-        assert m.params[0]["M"][0, 0] != c.params[0]["M"][0, 0]
-
 
 class TestForwardBackward:
     def test_empty_model_is_identity(self):
