@@ -38,6 +38,7 @@ def _cap_threads() -> str:
 BLAS_THREADS = _cap_threads()
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -110,6 +111,28 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+class Exit(Exception):
+    """Ends a command with an exit code; `main` prints `error: <message>`."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _exits(code: int, *types: type, prefix: str = ""):
+    """Turns an exception of one of types into Exit(code, prefix + message)."""
+    try:
+        yield
+    except types as exc:
+        raise Exit(code, prefix + str(exc)) from exc
+
+
+def _writing():
+    """An OSError while writing outputs exits 2."""
+    return _exits(EXIT_USAGE, OSError, prefix="cannot write outputs: ")
+
+
 def read_config_file(path) -> dict[str, str]:
     """Parse key = value lines; blank lines and # comments are skipped."""
     raw = Path(path).read_text(encoding="utf-8")
@@ -168,26 +191,37 @@ def config_lines(command: str, eff: dict) -> list[str]:
     return lines
 
 
-def _require_files(eff: dict, keys: list[str]) -> str | None:
-    """Returns an error message if any required path is absent, missing or a
-    directory.  Pipes and other readable non-regular files pass."""
+def _require_files(eff: dict, *keys: str) -> None:
+    """Exit 2 if any required input path is absent, missing or a directory.
+    Pipes and other readable non-regular files pass."""
     for key in keys:
         if eff[key] is None:
-            return f"{_flag(key)} is required"
+            raise Exit(EXIT_USAGE, f"{_flag(key)} is required")
         path = Path(eff[key])
         if not path.exists():
-            return f"no such file: {eff[key]}"
+            raise Exit(EXIT_USAGE, f"no such file: {eff[key]}")
         if path.is_dir():
-            return f"{_flag(key)} {eff[key]} is a directory"
-    return None
+            raise Exit(EXIT_USAGE, f"{_flag(key)} {eff[key]} is a directory")
 
 
-def _out_dir_problem(eff: dict) -> str | None:
-    """Returns an error message if --out-dir names something not a directory."""
-    out_dir = Path(eff["out_dir"])
-    if out_dir.exists() and not out_dir.is_dir():
-        return f"--out-dir {out_dir} exists and is not a directory"
-    return None
+def _check_outputs(eff: dict, *keys: str) -> None:
+    """Exit 2 unless each set output path can be written: --out-dir must not
+    name a non-directory, any other output must not name a directory, and
+    the nearest existing ancestor of either must be a directory."""
+    for key in keys:
+        if not eff[key]:
+            continue
+        path = Path(eff[key])
+        if key == "out_dir" and path.exists() and not path.is_dir():
+            raise Exit(EXIT_USAGE, f"--out-dir {path} exists and is not a directory")
+        if key != "out_dir" and path.is_dir():
+            raise Exit(EXIT_USAGE, f"{_flag(key)} {path} is a directory")
+        base = next((p for p in path.parents if p.exists()), None)
+        if base is not None and not base.is_dir():
+            raise Exit(
+                EXIT_USAGE,
+                f"cannot write outputs: {_flag(key)} {path}: {base} is not a directory",
+            )
 
 
 def _write_run_log(out_dir: Path, lines: list[str]) -> None:
@@ -205,19 +239,15 @@ def _non_finite_message(model, ds, exc: layers.NonFiniteError) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns on success and raises Exit on failure
 
 
 # Non-finite values are caught and reported with their exit code, so numpy's
 # overflow and invalid-value warnings would only repeat them on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_train(eff: dict) -> int:
-    problem = _require_files(
-        eff, ["train_images", "train_labels", "test_images", "test_labels"]
-    ) or _out_dir_problem(eff)
-    if problem:
-        _err(problem)
-        return EXIT_USAGE
+def cmd_train(eff: dict) -> None:
+    _require_files(eff, "train_images", "train_labels", "test_images", "test_labels")
+    _check_outputs(eff, "checkpoint", "out_dir")
     log_lines = config_lines("train", eff)
 
     def log(msg: str) -> None:
@@ -226,13 +256,9 @@ def cmd_train(eff: dict) -> int:
 
     for line in log_lines:
         print(line)
-    try:
+    with _exits(EXIT_USAGE, OSError, ValueError):
         train_ds = data.Dataset.load(eff["train_images"], eff["train_labels"], "train")
         test_ds = data.Dataset.load(eff["test_images"], eff["test_labels"], "test")
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    try:
         model = model_mod.new_model(
             eff["arch"],
             seed=eff["seed"],
@@ -250,73 +276,50 @@ def cmd_train(eff: dict) -> int:
             seed=eff["seed"],
             patience=eff["patience"],
         )
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
     out_dir = Path(eff["out_dir"])
     try:
         _, history = training.train(model, train_ds, test_ds, config, log=log)
     except training.DivergenceError as exc:
         # the record of a failed run: run.log only, no checkpoint or history
-        _err(str(exc))
         log_lines.append(f"error: {exc}")
-        try:
+        with _exits(EXIT_DIVERGENCE, OSError, prefix=f"{exc}; cannot write outputs: "):
             _write_run_log(out_dir, log_lines)
-        except OSError as write_exc:
-            _err(f"cannot write outputs: {write_exc}")
-        return EXIT_DIVERGENCE
+        raise Exit(EXIT_DIVERGENCE, str(exc)) from exc
     checkpoint = Path(eff["checkpoint"]) if eff["checkpoint"] else out_dir / "model.ckpt"
-    try:
+    with _writing():
         training.save_checkpoint(model, checkpoint)
         fileio.atomic_write_text(out_dir / "history.csv", history.to_csv())
         log(f"checkpoint: {checkpoint}")
         log(f"final test accuracy: {history.test_accuracy[-1]:.4f}")
         _write_run_log(out_dir, log_lines)
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return EXIT_USAGE
-    return EXIT_OK
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_evaluate(eff: dict) -> int:
-    problem = _require_files(
-        eff, ["checkpoint", "test_images", "test_labels"]
-    ) or _out_dir_problem(eff)
-    if problem:
-        _err(problem)
-        return EXIT_USAGE
-    try:
+def cmd_evaluate(eff: dict) -> None:
+    _require_files(eff, "checkpoint", "test_images", "test_labels")
+    _check_outputs(eff, "out_dir")
+    with _exits(EXIT_CHECKPOINT, training.CheckpointError):
         model = training.load_checkpoint(eff["checkpoint"])
-    except training.CheckpointError as exc:
-        _err(str(exc))
-        return EXIT_CHECKPOINT
     if eff["arch"] is not None and eff["arch"] != model.arch:
-        _err(
+        raise Exit(
+            EXIT_CHECKPOINT,
             f"checkpoint holds a {model.arch} model but --arch {eff['arch']} "
-            f"was requested"
+            f"was requested",
         )
-        return EXIT_CHECKPOINT
-    try:
+    with _exits(EXIT_USAGE, OSError, ValueError):
         ds = data.Dataset.load(eff["test_images"], eff["test_labels"], "test")
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    try:
-        log_probs = training.predict_log_probs(model, ds)
-    except layers.NonFiniteError as exc:
-        _err(_non_finite_message(model, ds, exc))
-        return EXIT_CHECKPOINT
-    except ValueError as exc:
-        _err(f"checkpoint incompatible with dataset: {exc}")
-        return EXIT_CHECKPOINT
+    with _exits(EXIT_CHECKPOINT, ValueError, prefix="checkpoint incompatible with dataset: "):
+        try:
+            log_probs = training.predict_log_probs(model, ds)
+        except layers.NonFiniteError as exc:
+            raise Exit(EXIT_CHECKPOINT, _non_finite_message(model, ds, exc)) from exc
     report = metrics.evaluate_predictions(np.exp(log_probs), ds.labels)
     out_dir = Path(eff["out_dir"])
     rows = [("accuracy", report.accuracy), ("mcc_macro", report.mcc_macro)]
     rows += [(f"mcc_class_{c}", v) for c, v in enumerate(report.mcc_per_class)]
     metrics_csv = "metric,value\n" + "".join(f"{k},{v:.10g}\n" for k, v in rows)
     lines = config_lines("evaluate", eff) + report.summary().splitlines()
-    try:
+    with _writing():
         fileio.atomic_write_text(
             out_dir / "confusion.csv", metrics.confusion_csv(report.confusion)
         )
@@ -329,11 +332,7 @@ def cmd_evaluate(eff: dict) -> int:
         )
         fileio.atomic_write_text(out_dir / "metrics.csv", metrics_csv)
         _write_run_log(out_dir, lines)
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return EXIT_USAGE
     print(report.summary())
-    return EXIT_OK
 
 
 def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batch]:
@@ -352,31 +351,27 @@ def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batc
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_gradcheck(eff: dict) -> int:
+def cmd_gradcheck(eff: dict) -> None:
     for line in config_lines("gradcheck", eff):
         print(line)
     all_ok = True
     for arch in model_mod.ARCHITECTURES:
         model, batch = tiny_instance(arch, eff["seed"])
-        try:
-            report = training.grad_check(model, batch, eps=eff["eps"], tol=eff["tol"])
-        except layers.NonFiniteError as exc:
-            _err(f"gradient check on {arch}: {exc}")
-            return EXIT_USAGE
-        except ValueError as exc:  # eps or tol out of range
-            _err(str(exc))
-            return EXIT_USAGE
+        with _exits(EXIT_USAGE, ValueError):  # eps or tol out of range
+            try:
+                report = training.grad_check(model, batch, eps=eff["eps"], tol=eff["tol"])
+            except layers.NonFiniteError as exc:
+                raise Exit(EXIT_USAGE, f"gradient check on {arch}: {exc}") from exc
         print(f"[{arch}]")
         print(report.summary())
         all_ok = all_ok and report.passed
     if not all_ok:
-        _err("gradient check failed; see per-layer report above")
-        return EXIT_GRADCHECK
+        raise Exit(EXIT_GRADCHECK, "gradient check failed; see per-layer report above")
     print("gradient check passed for all architectures")
-    return EXIT_OK
 
 
 def _read_sweep_file(path) -> list[resources.WorkloadSpec]:
+    """One workload per row; a bad row's error names the file, line and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = {"L", "n", "b"} - set(reader.fieldnames or [])
@@ -384,40 +379,42 @@ def _read_sweep_file(path) -> list[resources.WorkloadSpec]:
             raise ValueError(
                 f"sweep file needs columns L,n,b; missing {sorted(missing)}"
             )
-        return [
-            resources.WorkloadSpec(L=int(row["L"]), n=int(row["n"]), b=int(row["b"]))
-            for row in reader
-        ]
+
+        def cell(row: dict, col: str) -> int:
+            try:
+                value = int(row[col])  # a short row gives None
+            except (TypeError, ValueError):
+                value = 0
+            if value < 1:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: column {col}: {row[col]!r} is not "
+                    f"a positive integer"
+                )
+            return value
+
+        return [resources.WorkloadSpec(**{c: cell(row, c) for c in "Lnb"}) for row in reader]
 
 
-def cmd_estimate(eff: dict) -> int:
+def cmd_estimate(eff: dict) -> None:
     if eff["sweep"] is not None:
-        problem = _require_files(eff, ["sweep"])
-        if problem:
-            _err(problem)
-            return EXIT_USAGE
-        try:
+        _require_files(eff, "sweep")
+        _check_outputs(eff, "out_dir")
+        with _exits(EXIT_USAGE, OSError, ValueError):
             workloads = _read_sweep_file(eff["sweep"])
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_USAGE
         text = resources.sweep_csv(workloads)
         if eff["out_dir"]:
             out = Path(eff["out_dir"]) / "sweep.csv"
-            fileio.atomic_write_text(out, text)
+            with _writing():
+                fileio.atomic_write_text(out, text)
             print(f"wrote {len(workloads)} rows to {out}")
         else:
             print(text, end="")
-        return EXIT_OK
+        return
     for key in ("layers", "n", "batch"):
         if eff[key] is None:
-            _err(f"--{key} is required (or pass --sweep)")
-            return EXIT_USAGE
-    try:
+            raise Exit(EXIT_USAGE, f"--{key} is required (or pass --sweep)")
+    with _exits(EXIT_USAGE, ValueError):
         w = resources.WorkloadSpec(L=eff["layers"], n=eff["n"], b=eff["batch"])
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
     r = resources.estimate(w)
     print(f"classical_ops = {r.classical_ops}")
     print(f"quantum_ops = {r.quantum_ops}")
@@ -425,45 +422,37 @@ def cmd_estimate(eff: dict) -> int:
     print(f"classical_params = {r.classical_params}")
     print(f"qubit_estimate = {r.qubit_estimate}")
     print(f"input_qubits_mnist = {resources.input_qubits_mnist()}")
-    return EXIT_OK
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_export(eff: dict) -> int:
-    if eff["out"]:
-        out = Path(eff["out"])
-        out_problem = f"--out {out} is a directory" if out.is_dir() else None
-    else:
-        out = Path(eff["out_dir"]) / "model.json"
-        out_problem = _out_dir_problem(eff)
-    problem = _require_files(eff, ["checkpoint"]) or out_problem
-    if problem:
-        _err(problem)
-        return EXIT_USAGE
-    try:
+def cmd_export(eff: dict) -> None:
+    _require_files(eff, "checkpoint")
+    _check_outputs(eff, "out" if eff["out"] else "out_dir")
+    out = Path(eff["out"]) if eff["out"] else Path(eff["out_dir"]) / "model.json"
+    with _exits(EXIT_CHECKPOINT, training.CheckpointError):
         model = training.load_checkpoint(eff["checkpoint"])
-    except training.CheckpointError as exc:
-        _err(str(exc))
-        return EXIT_CHECKPOINT
     records = []
     for i, (spec, params) in enumerate(zip(model.specs, model.params)):
         record = dataclasses.asdict(spec)  # LayerSpec fields
+        where = f"checkpoint layer {i} ({spec.kind}): "
         if spec.kind == "complex_linear":
             m = params["M"]
         elif spec.kind == "quantum_conv":
+            # M_f is formed, so bound it by the data width before allocating
+            if spec.in_dim > data.FOLD:
+                raise Exit(
+                    EXIT_CHECKPOINT,
+                    f"{where}in_dim {spec.in_dim} exceeds the {data.FOLD} inputs "
+                    f"of a folded image",
+                )
             # the block path applied to I gives M_f = M_1 ... M_n
             eye = np.eye(spec.in_dim, dtype=np.complex128)
             m, _ = layers.layer_forward(spec, params, eye)
         else:
             m = None
         if m is not None:
-            try:
-                f = linalg.amplification_normalize(
-                    linalg.svd(linalg.ComplexMatrix.from_complex(m))
-                )
-            except ValueError as exc:  # inf or NaN in M or M_f
-                _err(f"checkpoint layer {i} ({spec.kind}): {exc}")
-                return EXIT_CHECKPOINT
+            with _exits(EXIT_CHECKPOINT, ValueError, prefix=where):  # inf or NaN
+                f = linalg.svd(m)
             record.update(beta=f.beta, sigma_min_over_max=float(f.sigma.min()))
         records.append(record)
     payload = {
@@ -473,13 +462,9 @@ def cmd_export(eff: dict) -> int:
         "num_real_params": model.num_params(),
         "layers": records,
     }
-    try:
+    with _writing():
         fileio.atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return EXIT_USAGE
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one command and returns its exit code; a failure prints one
+    `error:` line."""
     args = build_parser().parse_args(argv)
     try:
-        eff = effective_config(args)
-    except (ValueError, FileNotFoundError) as exc:
+        with _exits(EXIT_USAGE, OSError, ValueError):
+            eff = effective_config(args)
+        COMMANDS[args.command][0](eff)
+    except Exit as exc:
         _err(str(exc))
-        return EXIT_USAGE
-    return COMMANDS[args.command][0](eff)
+        return exc.code
+    return EXIT_OK
 
 
 def entrypoint() -> None:

@@ -214,12 +214,10 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def predict_log_probs(
-    model: ModelGraph, ds: Dataset, batch_size: int = PREDICT_CHUNK
-) -> np.ndarray:
+def predict_log_probs(model: ModelGraph, ds: Dataset) -> np.ndarray:
     """Log probabilities for a whole dataset, one row per dataset row.
 
-    Chunks of batch_size rows run on one worker per available CPU: the
+    Chunks of PREDICT_CHUNK rows run on one worker per available CPU: the
     caller's thread plus a helper thread for each other CPU (none with
     fewer than two chunks or CPUs); numpy and BLAS release the GIL.  Rows
     are independent, so the bytes do not depend on the chunk size or the
@@ -234,7 +232,7 @@ def predict_log_probs(
     # A one-row chunk would take BLAS's matrix-vector path, which rounds
     # differently from the matrix product, so a lone last row joins the
     # chunk before it.
-    starts = list(range(0, n, batch_size))
+    starts = list(range(0, n, PREDICT_CHUNK))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     stops = starts[1:] + [n]
@@ -248,10 +246,6 @@ def predict_log_probs(
             raise
 
     workers = min(_available_cpus(), len(starts))
-    if workers < 2:
-        for start, stop in zip(starts, stops):
-            chunk(start, stop)
-        return out
     todo = iter(zip(starts, stops))
     lock = threading.Lock()
     errors: dict[int, BaseException] = {}  # chunk start -> its error
@@ -270,24 +264,19 @@ def predict_log_probs(
     # The caller drains too, so only workers - 1 threads are made: each
     # thread's malloc arena keeps its own peak.  On a 2-CPU host, a helper
     # per CPU raised train-qocnn's peak RSS by 3-11%; this way adds 0.2%.
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        # one context copy per helper: two threads cannot enter one Context
-        helpers = [
+    # A pool starts a thread only on submit, so one worker starts none.
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        for _ in range(workers - 1):
+            # one context copy per helper: two threads cannot enter one Context
             pool.submit(contextvars.copy_context().run, drain)
-            for _ in range(workers - 1)
-        ]
         drain()
-    for helper in helpers:
-        helper.result()
     if errors:
         raise errors[min(errors)]
     return out
 
 
-def evaluate_loss_accuracy(
-    model: ModelGraph, ds: Dataset, batch_size: int = PREDICT_CHUNK
-) -> tuple[float, float]:
-    log_probs = predict_log_probs(model, ds, batch_size)
+def evaluate_loss_accuracy(model: ModelGraph, ds: Dataset) -> tuple[float, float]:
+    log_probs = predict_log_probs(model, ds)
     loss = nll_mean(log_probs, ds.labels)
     acc = float((log_probs.argmax(axis=1) == ds.labels).mean())
     return loss, acc

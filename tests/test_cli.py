@@ -136,6 +136,30 @@ class TestEstimate:
         assert "b" in err
 
 
+    def test_sweep_to_an_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep_in.csv"
+        sweep.write_text("L,n,b\n1,1,1\n")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        argv = ["estimate", "--sweep", str(sweep), "--out-dir", str(taken)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --out-dir {taken} exists and is not a directory\n"
+        assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [("1,1,1\n2,x,3\n", ":3: column n: 'x'"), ("1,1,0\n", ":2: column b: '0'"),
+         ("1,1\n", ":2: column b: None")],
+        ids=["not-a-number", "zero", "short-row"],
+    )
+    def test_bad_sweep_cell_names_file_line_and_column(self, rows, where, tmp_path, capsys):
+        sweep = tmp_path / "sweep_in.csv"
+        sweep.write_text("L,n,b\n" + rows)
+        code, out, err = run(["estimate", "--sweep", str(sweep)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {sweep}{where} is not a positive integer\n"
+
     def test_sweep_directory_exits_2(self, tmp_path, capsys):
         code, out, err = run(["estimate", "--sweep", str(tmp_path)], capsys)
         assert (code, out, err) == (2, "", f"error: --sweep {tmp_path} is a directory\n")
@@ -268,10 +292,40 @@ class TestTrain:
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
         extra = ["--epochs", "1", "--checkpoint", str(taken / "model.ckpt")]
-        code, _, err = run(train_args(synth_idx_files, tmp_path / "out", extra), capsys)
-        assert code == 2
+        code, out, err = run(train_args(synth_idx_files, tmp_path / "out", extra), capsys)
+        assert (code, out) == (2, "")  # refused before training
         assert err.startswith("error: cannot write outputs: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["checkpoint-dir", "out-dir-under-file"])
+    def test_unwritable_output_exits_2_before_training(
+        self, target, synth_idx_files, tmp_path, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        if target == "checkpoint-dir":
+            argv = train_args(synth_idx_files, tmp_path / "out", ["--checkpoint", str(tmp_path)])
+            want = f"error: --checkpoint {tmp_path} is a directory\n"
+        else:
+            argv = train_args(synth_idx_files, taken / "sub")
+            want = (
+                f"error: cannot write outputs: --out-dir {taken / 'sub'}: "
+                f"{taken} is not a directory\n"
+            )
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_divergence_with_an_unwritable_run_log_exits_3(
+        self, synth_idx_files, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        (out_dir / "run.log").mkdir(parents=True)
+        extra = ["--arch", "onn", "--optimizer", "sgd", "--lr", "1e100", "--epochs", "1"]
+        code, _, err = run(train_args(synth_idx_files, out_dir, extra), capsys)
+        assert code == 3 and len(err.splitlines()) == 1
+        assert err.startswith("error: training diverged at epoch 1, batch 1: ")
+        assert "; cannot write outputs: [Errno 21] Is a directory" in err
 
     def test_config_file_precedence(self, synth_idx_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -344,6 +398,12 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and names in err
         assert not (tmp_path / "out" / "run.log").exists()
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        argv = ["estimate", "--config", str(tmp_path), "--layers", "1", "--n", "1", "--batch", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_unknown_config_key_exits_2(self, synth_idx_files, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -726,6 +786,31 @@ class TestExport:
         assert err.startswith(want) and len(err.splitlines()) == 1
         assert taken.read_text() == "not a directory"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_conv_wider_than_an_image_exits_4_before_forming_m_f(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Exporting this 616-byte checkpoint would form a 5000 x 5000 M_f."""
+        m = model_mod.new_model(
+            "qocnn", seed=0, in_dim=5000, hidden=1, classes=2,
+            conv_k=4, conv_s=2, pool_w=5000, pool_p=1,
+        )
+        training.save_checkpoint(m, tmp_path / "wide.ckpt")
+        assert (tmp_path / "wide.ckpt").stat().st_size == 616
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye ran")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        out_path = tmp_path / "model.json"
+        argv = ["export", "--checkpoint", str(tmp_path / "wide.ckpt"), "--out", str(out_path)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: checkpoint layer 0 (quantum_conv): in_dim 5000 exceeds the 392 "
+            "inputs of a folded image\n"
+        )
+        assert not out_path.exists()
 
     def test_relabelled_checkpoint_exits_4(self, trained_run, tmp_path, capsys):
         bad = relabelled_checkpoint(trained_run, tmp_path, "onn")

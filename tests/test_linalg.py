@@ -6,37 +6,18 @@ import pytest
 
 from conftest import random_complex
 from qocnn import layers, linalg
-from qocnn.linalg import ComplexMatrix
-
-
-def rand_cmatrix(rng, n1, n2) -> ComplexMatrix:
-    return ComplexMatrix.from_complex(random_complex(rng, (n1, n2)))
 
 
 def svd_product(f: linalg.SvdFactors) -> np.ndarray:
     """beta * V @ diag(sigma) @ U, with a rectangular diagonal."""
-    diag = np.zeros((f.V.re.shape[0], f.U.re.shape[0]))
+    diag = np.zeros((f.V.shape[0], f.U.shape[0]))
     np.fill_diagonal(diag, f.sigma)
-    return f.beta * (f.V.to_complex() @ diag @ f.U.to_complex())
+    return f.beta * (f.V @ diag @ f.U)
 
 
 def apply_embedded(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Complex rows x times kernel, through the float view and real_embedding."""
     return (x.view(np.float64) @ layers.real_embedding(kernel)).view(np.complex128)
-
-
-class TestVectorMatrixTypes:
-    def test_complex_round_trip(self):
-        rng = np.random.default_rng(0)
-        z = random_complex(rng, (5, 3))
-        m = ComplexMatrix.from_complex(z)
-        np.testing.assert_array_equal(m.to_complex(), z)
-
-    def test_mismatched_halves_rejected(self):
-        with pytest.raises(ValueError):
-            ComplexMatrix(np.zeros((2, 3)), np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            ComplexMatrix(np.zeros(3), np.zeros(3))
 
 
 class TestEmbedding:
@@ -83,48 +64,35 @@ class TestSvd:
     @pytest.mark.parametrize("n1,n2", [(1, 1), (3, 3), (3, 7), (16, 5), (16, 16)])
     def test_reconstruction(self, n1, n2):
         rng = np.random.default_rng(n1 * 100 + n2)
-        m = rand_cmatrix(rng, n1, n2)
-        f = linalg.svd(m)
-        rec = svd_product(f)
-        scale = np.abs(m.to_complex()).max()
-        err = np.abs(rec - m.to_complex()).max() / scale
+        m = random_complex(rng, (n1, n2))
+        err = np.abs(svd_product(linalg.svd(m)) - m).max() / np.abs(m).max()
         assert err <= 1e-8
 
     def test_unitarity_residuals(self):
         rng = np.random.default_rng(7)
-        m = rand_cmatrix(rng, 6, 6)
-        f = linalg.svd(m)
-        v = f.V.to_complex()
-        u = f.U.to_complex()
-        assert np.abs(v @ v.conj().T - np.eye(6)).max() <= 1e-8
-        assert np.abs(u @ u.conj().T - np.eye(6)).max() <= 1e-8
+        f = linalg.svd(random_complex(rng, (6, 6)))
+        assert np.abs(f.V @ f.V.conj().T - np.eye(6)).max() <= 1e-8
+        assert np.abs(f.U @ f.U.conj().T - np.eye(6)).max() <= 1e-8
 
     def test_sigma_sorted_nonincreasing(self):
         rng = np.random.default_rng(8)
-        f = linalg.svd(rand_cmatrix(rng, 5, 5))
+        f = linalg.svd(random_complex(rng, (5, 5)))
         assert np.all(np.diff(f.sigma) <= 0)
 
     def test_nonfinite_rejected(self):
-        m = ComplexMatrix(np.array([[np.inf]]), np.array([[0.0]]))
-        with pytest.raises(ValueError):
-            linalg.svd(m)
+        for bad in (np.inf, np.nan, complex(0, np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                linalg.svd(np.array([[bad, 1.0]], dtype=np.complex128))
 
     def test_amplification_normalize(self):
         rng = np.random.default_rng(9)
-        m = rand_cmatrix(rng, 4, 4)
-        f = linalg.amplification_normalize(linalg.svd(m))
-        assert f.beta > 0
+        m = random_complex(rng, (4, 4))
+        f = linalg.svd(m)
+        assert abs(f.beta - np.linalg.norm(m, 2)) <= 1e-12 * f.beta
         assert f.sigma.max() <= 1.0 + 1e-15
-        np.testing.assert_allclose(svd_product(f), m.to_complex(), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(svd_product(f), m, rtol=0, atol=1e-10)
 
     def test_amplification_zero_matrix(self):
-        f = linalg.svd(ComplexMatrix(np.zeros((3, 3)), np.zeros((3, 3))))
-        g = linalg.amplification_normalize(f)
-        assert g.beta == 1.0
-        np.testing.assert_array_equal(g.sigma, np.zeros(3))
-
-    def test_double_normalize_rejected(self):
-        rng = np.random.default_rng(10)
-        f = linalg.amplification_normalize(linalg.svd(rand_cmatrix(rng, 2, 2)))
-        with pytest.raises(ValueError):
-            linalg.amplification_normalize(f)
+        f = linalg.svd(np.zeros((3, 3), dtype=np.complex128))
+        assert f.beta == 1.0
+        np.testing.assert_array_equal(f.sigma, np.zeros(3))

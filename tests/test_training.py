@@ -519,12 +519,13 @@ class TestThreadedPredict:
         assert got.tobytes() == predict_log_probs_oracle(m, rows_1000).tobytes()
 
     @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
-    def test_bytes_do_not_depend_on_the_chunk_size(self, arch, rows_1000):
+    def test_bytes_do_not_depend_on_the_chunk_size(self, arch, rows_1000, monkeypatch):
         m = model_mod.new_model(arch, seed=6)
-        want = training.predict_log_probs(m, rows_1000, batch_size=128).tobytes()
-        for batch_size in (2, 37, 256, 1000):
-            got = training.predict_log_probs(m, rows_1000, batch_size=batch_size)
-            assert got.tobytes() == want, batch_size
+        want = training.predict_log_probs(m, rows_1000).tobytes()
+        for chunk in (2, 37, 256, 1000):
+            monkeypatch.setattr(training, "PREDICT_CHUNK", chunk)
+            got = training.predict_log_probs(m, rows_1000)
+            assert got.tobytes() == want, chunk
 
     @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
     def test_a_lone_last_row_joins_the_chunk_before_it(self, arch, monkeypatch):
@@ -585,10 +586,11 @@ class TestThreadedPredict:
 
         monkeypatch.setattr(training, "model_forward", recording)
         self.workers(monkeypatch, 6)
+        monkeypatch.setattr(training, "PREDICT_CHUNK", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = training.predict_log_probs(m, ds, batch_size=8)
+            got = training.predict_log_probs(m, ds)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(taken) == sorted(
@@ -617,14 +619,14 @@ class TestThreadedPredict:
         with pytest.raises(ValueError, match="^chunk 1 failed$"):
             training.predict_log_probs(model_mod.new_model("onn", seed=1), ds)
 
-    def test_one_chunk_makes_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made for one chunk")
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("a thread was started for one chunk")
 
         ds, _ = small_datasets(n_train=self.CHUNK)
         m = model_mod.new_model("qocnn", seed=2)
         self.workers(monkeypatch, 2)
-        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
         got = training.predict_log_probs(m, ds)
         assert got.tobytes() == predict_log_probs_oracle(m, ds).tobytes()
 
