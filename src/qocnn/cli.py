@@ -1,4 +1,7 @@
-"""Command-line entry point: train, evaluate, gradcheck, estimate, export.
+"""The `qocnn` commands: train, evaluate, gradcheck, estimate, export.
+
+`qocnn.__main__` caps the BLAS threads and then runs `main`; importing
+this module leaves the BLAS settings alone.
 
 Exit codes are stable for scripting: 0 success, 2 missing files or bad
 parameters, 3 training divergence, 4 checkpoint mismatch or a checkpoint
@@ -6,36 +9,6 @@ whose activations overflow, 5 gradient-check failure.
 """
 
 from __future__ import annotations
-
-import os
-
-
-def _cap_threads() -> str:
-    """Apply the QOCNN_THREADS cap; must run before numpy first loads.
-
-    Unset (or not a whole number) caps the BLAS pools at one thread, which
-    makes checkpoints independent of the host's core count; k > 0 caps them
-    at k; 0 or less leaves the library defaults.  Returns the cap for
-    run.log.
-    """
-    raw = os.environ.get("QOCNN_THREADS", "").strip()
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    if n <= 0:
-        return "library default"
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
-    return str(n)
-
-
-BLAS_THREADS = _cap_threads()
 
 import argparse
 import contextlib
@@ -49,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import data, fileio, layers, linalg, metrics, model as model_mod, resources, training
+from . import blas_threads
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,7 +161,7 @@ def config_lines(command: str, eff: dict) -> list[str]:
     lines = [f"command = {command}"]
     for key in sorted(eff):
         lines.append(f"{key} = {eff[key]}")
-    lines.append(f"blas_threads = {BLAS_THREADS}")
+    lines.append(f"blas_threads = {blas_threads()}")
     return lines
 
 
@@ -204,10 +178,11 @@ def _require_files(eff: dict, *keys: str) -> None:
             raise Exit(EXIT_USAGE, f"{_flag(key)} {eff[key]} is a directory")
 
 
-def _check_outputs(eff: dict, *keys: str) -> None:
+def _check_outputs(eff: dict, *keys: str, files=()) -> None:
     """Exit 2 unless each set output path can be written: --out-dir must not
     name a non-directory, any other output must not name a directory, and
-    the nearest existing ancestor of either must be a directory."""
+    the nearest existing ancestor of either must be a directory.  files are
+    the names a command writes inside --out-dir; none may be a directory."""
     for key in keys:
         if not eff[key]:
             continue
@@ -222,20 +197,14 @@ def _check_outputs(eff: dict, *keys: str) -> None:
                 EXIT_USAGE,
                 f"cannot write outputs: {_flag(key)} {path}: {base} is not a directory",
             )
+    for name in files:
+        path = Path(eff["out_dir"]) / name
+        if path.is_dir():
+            raise Exit(EXIT_USAGE, f"cannot write outputs: {path} is a directory")
 
 
 def _write_run_log(out_dir: Path, lines: list[str]) -> None:
     fileio.atomic_write_text(out_dir / "run.log", "\n".join(lines) + "\n")
-
-
-def _non_finite_message(model, ds, exc: layers.NonFiniteError) -> str:
-    """Names the first layer to output inf or NaN on the chunk that raised."""
-    first = model_mod.first_non_finite_layer(model, ds.complex_rows(exc.rows))
-    return (
-        f"checkpoint gives non-finite activations on rows {exc.rows.start}.."
-        f"{exc.rows.stop - 1}: layer {first} ({model.specs[first].kind}) is "
-        f"the first to output inf or NaN; {exc}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +216,8 @@ def _non_finite_message(model, ds, exc: layers.NonFiniteError) -> str:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_train(eff: dict) -> None:
     _require_files(eff, "train_images", "train_labels", "test_images", "test_labels")
-    _check_outputs(eff, "checkpoint", "out_dir")
+    derived = ["history.csv", "run.log"] + ([] if eff["checkpoint"] else ["model.ckpt"])
+    _check_outputs(eff, "checkpoint", "out_dir", files=derived)
     log_lines = config_lines("train", eff)
 
     def log(msg: str) -> None:
@@ -297,7 +267,9 @@ def cmd_train(eff: dict) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_evaluate(eff: dict) -> None:
     _require_files(eff, "checkpoint", "test_images", "test_labels")
-    _check_outputs(eff, "out_dir")
+    _check_outputs(
+        eff, "out_dir", files=["run.log", "confusion.csv", "metrics.csv", "auc_summary.csv"]
+    )
     with _exits(EXIT_CHECKPOINT, training.CheckpointError):
         model = training.load_checkpoint(eff["checkpoint"])
     if eff["arch"] is not None and eff["arch"] != model.arch:
@@ -306,13 +278,18 @@ def cmd_evaluate(eff: dict) -> None:
             f"checkpoint holds a {model.arch} model but --arch {eff['arch']} "
             f"was requested",
         )
+    _check_outputs(eff, files=[f"roc_class_{c}.csv" for c in range(model.out_dim)])
     with _exits(EXIT_USAGE, OSError, ValueError):
         ds = data.Dataset.load(eff["test_images"], eff["test_labels"], "test")
     with _exits(EXIT_CHECKPOINT, ValueError, prefix="checkpoint incompatible with dataset: "):
         try:
             log_probs = training.predict_log_probs(model, ds)
         except layers.NonFiniteError as exc:
-            raise Exit(EXIT_CHECKPOINT, _non_finite_message(model, ds, exc)) from exc
+            raise Exit(
+                EXIT_CHECKPOINT,
+                f"checkpoint gives non-finite activations on rows "
+                f"{exc.rows.start}..{exc.rows.stop - 1}: {exc}",
+            ) from exc
     report = metrics.evaluate_predictions(np.exp(log_probs), ds.labels)
     out_dir = Path(eff["out_dir"])
     rows = [("accuracy", report.accuracy), ("mcc_macro", report.mcc_macro)]
@@ -398,7 +375,7 @@ def _read_sweep_file(path) -> list[resources.WorkloadSpec]:
 def cmd_estimate(eff: dict) -> None:
     if eff["sweep"] is not None:
         _require_files(eff, "sweep")
-        _check_outputs(eff, "out_dir")
+        _check_outputs(eff, "out_dir", files=["sweep.csv"] if eff["out_dir"] else [])
         with _exits(EXIT_USAGE, OSError, ValueError):
             workloads = _read_sweep_file(eff["sweep"])
         text = resources.sweep_csv(workloads)
@@ -427,7 +404,10 @@ def cmd_estimate(eff: dict) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_export(eff: dict) -> None:
     _require_files(eff, "checkpoint")
-    _check_outputs(eff, "out" if eff["out"] else "out_dir")
+    if eff["out"]:
+        _check_outputs(eff, "out")
+    else:
+        _check_outputs(eff, "out_dir", files=["model.json"])
     out = Path(eff["out"]) if eff["out"] else Path(eff["out_dir"]) / "model.json"
     with _exits(EXIT_CHECKPOINT, training.CheckpointError):
         model = training.load_checkpoint(eff["checkpoint"])
@@ -510,7 +490,3 @@ def main(argv=None) -> int:
         _err(str(exc))
         return exc.code
     return EXIT_OK
-
-
-def entrypoint() -> None:
-    sys.exit(main())

@@ -8,6 +8,12 @@ from pathlib import Path
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
+    """Write blob to a temporary file beside path, then rename it to path.
+
+    The temporary file never outlives the call.  An OSError after it is
+    made names path alone, so a failed write gives the same message on
+    every run.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -15,10 +21,11 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path, text: str) -> None:

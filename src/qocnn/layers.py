@@ -90,15 +90,6 @@ def pool_spec(n: int, w: int = 2, p: int = 2) -> LayerSpec:
     return LayerSpec("split_max_pool", n, pooled_len(n, w, p), w=w, p=p)
 
 
-@dataclass
-class TapeNode:
-    """Forward cache for exactly one backward pass."""
-
-    spec: LayerSpec
-    cache: tuple
-    consumed: bool = False
-
-
 def _float_view(z: np.ndarray) -> np.ndarray:
     """Interleaved re/im float64 view of complex rows: (b, n) -> (b, 2n).
 
@@ -140,7 +131,7 @@ def complex_linear_backward(
 def sinusoid_forward(x: np.ndarray, lam: float) -> tuple[np.ndarray, tuple]:
     """t -> t*sin(lam*t) applied independently to every real component.
 
-    Acts on the interleaved float view; lam*t and its sine stay on the tape.
+    Acts on the interleaved float view; lam*t and its sine are the cache.
     """
     xf = _float_view(x)
     t = lam * xf
@@ -386,8 +377,8 @@ def split_max_pool_forward(
 
     Each window's maximum is an np.maximum over strided slices of the
     interleaved float view, so a non-finite value never reaches the other
-    half and the first NaN wins.  Only values are formed; the input stays on
-    the tape and the backward finds the argmax (see pool_sources).  A window
+    half and the first NaN wins.  Only values are formed; the input is the
+    cache and the backward finds the argmax (see pool_sources).  A window
     whose maximum is a zero of either sign may output either sign.
     """
     xf = _float_view(x)
@@ -405,7 +396,7 @@ def split_max_pool_forward(
 
 def pool_sources(cache: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(re_src, im_src): the input column of every output's window maximum in
-    each half, from the cache of a split_max_pool tape node.  Ties go to the
+    each half, from the cache of a split_max_pool forward.  Ties go to the
     lowest index and the first NaN wins, as np.argmax picks."""
     xf, w, p = cache
     return _window_argmax(xf[:, 0::2], w, p), _window_argmax(xf[:, 1::2], w, p)
@@ -480,7 +471,8 @@ class Kind(NamedTuple):
     forward(spec, params, x) returns the output and the backward cache.
     backward(grad_out, cache) returns the input gradient of a kind without
     a parameter; a kind with one takes need_input_grad as a third argument
-    and returns (input gradient or None, parameter gradient).
+    and returns (input gradient or None, parameter gradient).  It only
+    reads the cache, so the same cache gives the same gradients every time.
     branches(cache) identifies the non-smooth choices of one forward, which
     grad_check compares on the two sides of a finite difference.
     """
@@ -559,36 +551,29 @@ def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np
 
 def layer_forward(
     spec: LayerSpec, params: dict[str, np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, TapeNode]:
-    """Dispatch one forward pass; returns the output and its tape node."""
+) -> tuple[np.ndarray, tuple]:
+    """Dispatch one forward pass; returns the output and its backward cache."""
     _require_batch(x, spec.in_dim, spec.kind)
-    y, cache = KINDS[spec.kind].forward(spec, params, x)
-    return y, TapeNode(spec=spec, cache=cache)
+    return KINDS[spec.kind].forward(spec, params, x)
 
 
 def layer_backward(
     spec: LayerSpec,
-    node: TapeNode,
+    cache: tuple,
     grad_out: np.ndarray,
     *,
     need_input_grad: bool = True,
 ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
-    """Dispatch one backward pass; each tape node may be consumed once.
+    """Dispatch one backward pass over the cache layer_forward returned for
+    spec; the cache is only read, so it may serve any number of passes.
 
     With need_input_grad=False the input gradient is not computed and None
     is returned in its place; parameter gradients are unchanged.
     """
-    if node is None:
-        raise ValueError("missing tape node")
-    if node.consumed:
-        raise ValueError("tape node already consumed by a previous backward pass")
-    if node.spec != spec:
-        raise ValueError("tape node does not belong to this layer")
-    node.consumed = True
     kind = KINDS[spec.kind]
     if kind.param is not None:
-        grad_x, grad_p = kind.backward(grad_out, node.cache, need_input_grad)
+        grad_x, grad_p = kind.backward(grad_out, cache, need_input_grad)
         return grad_x, {kind.param.name: grad_p}
     if not need_input_grad:
         return None, {}
-    return kind.backward(grad_out, node.cache), {}
+    return kind.backward(grad_out, cache), {}

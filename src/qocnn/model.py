@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers
-from .layers import LayerSpec, NonFiniteError, TapeNode, init_layer_params, param_shapes
+from .layers import LayerSpec, NonFiniteError, init_layer_params, param_shapes
 
 ARCHITECTURES = ("onn", "qonn", "qocnn")
 
@@ -116,26 +116,30 @@ def new_model(arch: str, seed: int = 0, **kwargs) -> ModelGraph:
     return ModelGraph(arch=arch, specs=specs, params=params, seed=seed, meta=meta)
 
 
-def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[TapeNode]]:
-    """Run the full stack; an empty model is the identity."""
-    tape: list[TapeNode] = []
+def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """Run the full stack (an empty model is the identity); returns the
+    output and one backward cache per layer.  An error names its layer, and a
+    `NonFiniteError` also the first layer to output inf or NaN on x."""
+    caches = []
     out = x
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):
         try:
-            out, node = layers.layer_forward(spec, p, out)
+            out, cache = layers.layer_forward(spec, p, out)
+        except NonFiniteError as exc:
+            first = first_non_finite_layer(model, x)
+            raise NonFiniteError(
+                f"layer {first} ({model.specs[first].kind}) is the first to output "
+                f"inf or NaN; layer {i} ({spec.kind}): {exc}"
+            ) from exc
         except ValueError as exc:
-            cls = NonFiniteError if isinstance(exc, NonFiniteError) else ValueError
-            raise cls(f"layer {i} ({spec.kind}): {exc}") from exc
-        tape.append(node)
-    return out, tape
+            raise ValueError(f"layer {i} ({spec.kind}): {exc}") from exc
+        caches.append(cache)
+    return out, caches
 
 
 def first_non_finite_layer(model: ModelGraph, x: np.ndarray) -> int | None:
     """Index of the first layer whose output on x holds inf or NaN, or None.
-
-    Checks every layer's output, so it is meant for the error path of a
-    forward pass that raised `NonFiniteError`, not for the hot path.
-    """
+    A second pass, so model_forward calls it only after a NonFiniteError."""
     out = x
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):
         out, _ = layers.layer_forward(spec, p, out)
@@ -144,22 +148,17 @@ def first_non_finite_layer(model: ModelGraph, x: np.ndarray) -> int | None:
     return None
 
 
-def model_backward(
-    model: ModelGraph, tape: list[TapeNode], grad_out: np.ndarray
-) -> list[dict[str, np.ndarray]]:
-    """Reverse sweep; returns one gradient dict per layer (complex packed).
+def model_backward(model: ModelGraph, caches: list, grad_out: np.ndarray) -> list[dict]:
+    """Reverse sweep over the caches of model_forward; returns one gradient
+    dict per layer (complex packed).
 
     Nothing reads the gradient with respect to the input batch, so layer 0
     is asked for its parameter gradients only.
     """
-    if len(tape) != len(model.specs):
-        raise ValueError(
-            f"tape has {len(tape)} nodes for {len(model.specs)} layers"
-        )
     grads: list[dict[str, np.ndarray]] = [None] * len(model.specs)
     g = grad_out
     for i in range(len(model.specs) - 1, -1, -1):
         g, grads[i] = layers.layer_backward(
-            model.specs[i], tape[i], g, need_input_grad=i > 0
+            model.specs[i], caches[i], g, need_input_grad=i > 0
         )
     return grads

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data, fileio, model as model_mod
 from .data import Batch, Dataset
-from .layers import KINDS, LAYER_KINDS, LayerSpec, NonFiniteError, TapeNode, param_shapes
+from .layers import KINDS, LAYER_KINDS, LayerSpec, NonFiniteError, param_shapes
 from .model import ARCHITECTURES, ModelGraph, model_backward, model_forward
 
 LOSS_DIVERGENCE_CAP = 10.0 * math.log(10.0)
@@ -49,32 +49,28 @@ def nll_mean(log_probs: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class LossTape:
-    """Forward record pairing the layer tape with the loss inputs."""
+    """Forward record: the layer caches and the loss inputs."""
 
-    nodes: list[TapeNode]
+    caches: list[tuple]
     log_probs: np.ndarray
     labels: np.ndarray
-    consumed: bool = False
 
 
 def forward_loss(model: ModelGraph, batch: Batch) -> tuple[float, LossTape]:
     """Mean NLL of the batch plus the tape needed for backward."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    log_probs, nodes = model_forward(model, batch.x)
+    log_probs, caches = model_forward(model, batch.x)
     loss = nll_mean(log_probs, batch.labels)
-    return loss, LossTape(nodes=nodes, log_probs=log_probs, labels=batch.labels)
+    return loss, LossTape(caches, log_probs, batch.labels)
 
 
 def backward(model: ModelGraph, tape: LossTape) -> list[dict[str, np.ndarray]]:
     """Gradients of the mean batch NLL for every layer, complex packed."""
-    if tape.consumed:
-        raise ValueError("tape already consumed by a previous backward pass")
-    tape.consumed = True
     b, n = tape.log_probs.shape
     grad = np.zeros((b, n), dtype=np.float64)
     grad[np.arange(b), tape.labels] = -1.0 / b
-    return model_backward(model, tape.nodes, grad)
+    return model_backward(model, tape.caches, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +571,11 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _branch_signature(nodes: list[TapeNode]) -> tuple:
+def _branch_signature(model: ModelGraph, caches: list[tuple]) -> tuple:
     """Identity of every non-smooth choice made during a forward pass."""
-    return tuple(KINDS[node.spec.kind].branches(node.cache) for node in nodes)
+    return tuple(
+        KINDS[spec.kind].branches(cache) for spec, cache in zip(model.specs, caches)
+    )
 
 
 def grad_check(
@@ -605,8 +603,8 @@ def grad_check(
     grads = backward(model, tape)
 
     def loss_and_sig() -> tuple[float, tuple]:
-        log_probs, nodes = model_forward(model, batch.x)
-        return nll_mean(log_probs, batch.labels), _branch_signature(nodes)
+        log_probs, caches = model_forward(model, batch.x)
+        return nll_mean(log_probs, batch.labels), _branch_signature(model, caches)
 
     reports = []
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output files."""
 
+import errno
 import json
 import os
 import subprocess
@@ -12,9 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model
-from qocnn import cli, data, layers, metrics, model as model_mod, training
+from qocnn import cli, data, fileio, layers, metrics, model as model_mod, training
+from qocnn import __main__ as qocnn_main
+from qocnn.__main__ import BLAS_VARS
 from test_conv import dense_m_f
 from test_metrics import roc_by_threshold_loop, roc_vertex_oracle
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(argv, capsys):
@@ -147,6 +153,16 @@ class TestEstimate:
         assert err == f"error: --out-dir {taken} exists and is not a directory\n"
         assert taken.read_text() == "not a directory"
 
+    def test_sweep_csv_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep_in.csv"
+        sweep.write_text("L,n,b\n1,1,1\n")
+        (tmp_path / "out" / "sweep.csv").mkdir(parents=True)
+        argv = ["estimate", "--sweep", str(sweep), "--out-dir", str(tmp_path / "out")]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        want = tmp_path / "out" / "sweep.csv"
+        assert err == f"error: cannot write outputs: {want} is a directory\n"
+
     @pytest.mark.parametrize(
         "rows, where",
         [("1,1,1\n2,x,3\n", ":3: column n: 'x'"), ("1,1,0\n", ":2: column b: '0'"),
@@ -231,14 +247,22 @@ class TestTrain:
         assert code == 3
         assert "diverged" in err
 
-    @pytest.mark.parametrize("arch", ["onn", "qocnn"])
-    def test_non_finite_activation_exits_3(self, arch, synth_idx_files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "arch,first,last",
+        [("onn", "layer 3 (mod_squared)", 4), ("qocnn", "layer 4 (complex_linear)", 6)],
+    )
+    def test_non_finite_activation_exits_3(
+        self, arch, first, last, synth_idx_files, tmp_path, capsys
+    ):
         extra = ["--arch", arch, "--optimizer", "sgd", "--lr", "1e100", "--epochs", "1"]
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, err = run(train_args(synth_idx_files, tmp_path, extra), capsys)
-        assert code == 3
-        assert err.startswith("error: training diverged at epoch 1, batch 1: layer ")
-        assert "(log_softmax)" in err and len(err.splitlines()) == 1
+        assert (code, err) == (
+            3,
+            f"error: training diverged at epoch 1, batch 1: {first} is the first "
+            f"to output inf or NaN; layer {last} (log_softmax): log_softmax "
+            f"requires finite entries\n",
+        )
 
     @pytest.mark.parametrize("arch", ["onn", "qocnn"])
     def test_non_finite_activation_issues_no_warning(
@@ -316,16 +340,37 @@ class TestTrain:
         assert (code, out, err) == (2, "", want)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
-    def test_divergence_with_an_unwritable_run_log_exits_3(
-        self, synth_idx_files, tmp_path, capsys
+    @pytest.mark.parametrize("name", ["model.ckpt", "history.csv", "run.log"])
+    def test_derived_output_that_is_a_directory_exits_2_before_training(
+        self, name, synth_idx_files, tmp_path, capsys
     ):
         out_dir = tmp_path / "out"
-        (out_dir / "run.log").mkdir(parents=True)
+        (out_dir / name).mkdir(parents=True)
+        code, out, err = run(train_args(synth_idx_files, out_dir, ["--epochs", "1"]), capsys)
+        assert (code, out) == (2, "")  # no epoch line: refused before training
+        assert err == f"error: cannot write outputs: {out_dir / name} is a directory\n"
+        assert [p.name for p in out_dir.iterdir()] == [name]
+
+    def test_divergence_with_an_unwritable_run_log_exits_3(
+        self, synth_idx_files, tmp_path, capsys, monkeypatch
+    ):
+        """run.log becomes a directory while the run trains, after the
+        output checks."""
+        out_dir = tmp_path / "out"
+        real_train = training.train
+
+        def train_then_take_run_log(*args, **kwargs):
+            (out_dir / "run.log").mkdir(parents=True)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", train_then_take_run_log)
         extra = ["--arch", "onn", "--optimizer", "sgd", "--lr", "1e100", "--epochs", "1"]
         code, _, err = run(train_args(synth_idx_files, out_dir, extra), capsys)
         assert code == 3 and len(err.splitlines()) == 1
         assert err.startswith("error: training diverged at epoch 1, batch 1: ")
-        assert "; cannot write outputs: [Errno 21] Is a directory" in err
+        assert err.endswith(
+            f"; cannot write outputs: [Errno 21] Is a directory: '{out_dir / 'run.log'}'\n"
+        )
 
     def test_config_file_precedence(self, synth_idx_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -437,6 +482,23 @@ class TestEvaluate:
         )
         assert float(metrics_rows["accuracy"]) == pytest.approx(final_acc, abs=5e-11)
         assert f"accuracy: {final_acc:.4f}" in out
+
+    @pytest.mark.parametrize(
+        "name", ["run.log", "confusion.csv", "metrics.csv", "auc_summary.csv", "roc_class_9.csv"]
+    )
+    def test_derived_output_that_is_a_directory_exits_2_before_predicting(
+        self, name, synth_idx_files, trained_run, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args):
+            raise AssertionError("predicted before checking the outputs")
+
+        monkeypatch.setattr(training, "predict_log_probs", forbidden)
+        (tmp_path / name).mkdir()
+        args = evaluate_args(synth_idx_files, trained_run / "model.ckpt", tmp_path)
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write outputs: {tmp_path / name} is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_output_files_complete(self, synth_idx_files, trained_run, tmp_path, capsys):
         code, _, _ = run(
@@ -666,11 +728,11 @@ class TestGradcheckCommand:
 
     def test_overflowing_eps_exits_2_naming_the_layer(self, capsys):
         code, out, err = run(["gradcheck", "--eps", "1e300"], capsys)
-        assert code == 2
-        assert err.count("\n") == 1
-        assert err.startswith(
+        assert (code, err) == (
+            2,
             "error: gradient check on onn: layer 0 (complex_linear) parameter M "
-            "moved by eps=1e+300: layer 4 (log_softmax): "
+            "moved by eps=1e+300: layer 3 (mod_squared) is the first to output "
+            "inf or NaN; layer 4 (log_softmax): log_softmax requires finite entries\n",
         )
         assert "[onn]" not in out
 
@@ -787,6 +849,13 @@ class TestExport:
         assert taken.read_text() == "not a directory"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
+    def test_model_json_that_is_a_directory_exits_2(self, trained_run, tmp_path, capsys):
+        (tmp_path / "model.json").mkdir()
+        args = ["export", "--checkpoint", str(trained_run / "model.ckpt"), "--out-dir", str(tmp_path)]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write outputs: {tmp_path / 'model.json'} is a directory\n"
+
     def test_conv_wider_than_an_image_exits_4_before_forming_m_f(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -837,15 +906,12 @@ class TestExport:
         assert list(tmp_path.iterdir()) == []
 
 
-BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
 class TestThreadCap:
     def test_env_var_applies_before_numpy(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("QOCNN_THREADS", "2")
-        cli._cap_threads()
+        qocnn_main.cap_threads()
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
@@ -853,45 +919,59 @@ class TestThreadCap:
         for var in ("QOCNN_THREADS",) + BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # overridden too
-        assert cli._cap_threads() == "1"
+        assert qocnn_main.cap_threads() == "1"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
-    def test_run_log_records_the_cap(self, synth_idx_files, tmp_path, capsys):
+    def test_importing_the_cli_leaves_blas_alone(self):
+        """Only the entry point caps the threads; a library caller that
+        imports qocnn.cli keeps its own BLAS settings."""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.pop("QOCNN_THREADS", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        script = (
+            "import json, os\n"
+            "import qocnn.cli\n"
+            f"print(json.dumps([v for v in {BLAS_VARS!r} if v in os.environ]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_run_log_records_the_cap(self, synth_idx_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QOCNN_THREADS", "3")
         code, _, _ = run(train_args(synth_idx_files, tmp_path, ["--epochs", "1"]), capsys)
         assert code == 0
         log = (tmp_path / "run.log").read_text().splitlines()
-        assert f"blas_threads = {cli.BLAS_THREADS}" in log
+        assert "blas_threads = 3" in log
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
     def test_checkpoints_do_not_depend_on_the_host(self, synth_idx_files, tmp_path):
         """With QOCNN_THREADS unset the cap is 1, so the bytes are those of
         QOCNN_THREADS=1 whatever the core count.  A cap of 2 is another
         cap: its bytes may differ (qocnn's do on a 2-CPU host), and its
-        run.log says so."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        script = (
-            "import json, sys\n"
-            "from qocnn import cli\n"  # before numpy, as `qocnn` does
-            "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
-        )
+        run.log says so.  Each run goes through `python -m qocnn`, the
+        entry point that applies the cap."""
         archs = ("qocnn", "qonn", "onn")
         outputs = {}
         for cap in (None, "1", "2"):
-            # importing qocnn.cli here set the BLAS variables; start clean
-            env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+            env = dict(os.environ)
             env.pop("QOCNN_THREADS", None)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
             if cap is not None:
                 env["QOCNN_THREADS"] = cap
             runs = {arch: tmp_path / f"{arch}-{cap}" for arch in archs}
             extra = ["--epochs", "1", "--seed", "2", "--arch"]
-            argvs = [train_args(synth_idx_files, d, extra + [arch]) for arch, d in runs.items()]
-            proc = subprocess.run(
-                [sys.executable, "-c", script, json.dumps(argvs)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
+            for arch, d in runs.items():
+                proc = subprocess.run(
+                    [sys.executable, "-m", "qocnn",
+                     *train_args(synth_idx_files, d, extra + [arch])],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
             outputs[cap] = {
                 arch: ((d / "model.ckpt").read_bytes(), (d / "history.csv").read_bytes())
                 for arch, d in runs.items()
@@ -905,7 +985,7 @@ class TestThreadCap:
     def test_zero_means_default(self, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setenv("QOCNN_THREADS", "0")
-        assert cli._cap_threads() == "library default"
+        assert qocnn_main.cap_threads() == "library default"
         assert "OMP_NUM_THREADS" not in os.environ
 
     def test_checkpoint_atomicity_leaves_no_temp_files(self, tmp_path):
@@ -915,3 +995,17 @@ class TestThreadCap:
         training.save_checkpoint(m, tmp_path / "m.ckpt")
         leftovers = [p for p in tmp_path.iterdir() if p.name != "m.ckpt"]
         assert leftovers == []
+
+
+class TestAtomicWrite:
+    def test_failed_write_names_the_output_not_its_temporary_file(self, tmp_path):
+        target = tmp_path / "model.ckpt"
+        target.mkdir()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(IsADirectoryError) as info:
+                fileio.atomic_write_bytes(target, b"blob")
+            messages.append(str(info.value))
+        want = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'"
+        assert messages == [want, want]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]  # no temporary left

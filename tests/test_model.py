@@ -106,9 +106,9 @@ class TestForwardBackward:
         rng = np.random.default_rng(0)
         m = ModelGraph(arch="onn", specs=[], params=[])
         x = random_complex(rng, (3, 5))
-        y, tape = model_forward(m, x)
+        y, caches = model_forward(m, x)
         np.testing.assert_array_equal(y, x)
-        assert tape == []
+        assert caches == []
 
     def test_output_is_log_probability_rows(self):
         rng = np.random.default_rng(1)
@@ -125,13 +125,33 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="layer 0"):
             model_forward(m, random_complex(rng, (2, m.in_dim + 1)))
 
-    def test_backward_requires_full_tape(self):
-        rng = np.random.default_rng(3)
-        m = tiny_model("qonn")
-        x = random_complex(rng, (2, m.in_dim))
-        _, tape = model_forward(m, x)
-        with pytest.raises(ValueError, match="tape"):
-            model_backward(m, tape[:-1], np.zeros((2, m.out_dim)))
+    @pytest.mark.parametrize(
+        "arch,first", [("onn", "layer 2 (complex_linear)"), ("qocnn", "layer 0 (quantum_conv)")]
+    )
+    def test_non_finite_forward_names_the_first_layer(self, arch, first, monkeypatch):
+        """The second pass runs on the error path only."""
+        m = new_model(arch, seed=5)
+        x = random_complex(np.random.default_rng(6), (4, m.in_dim))
+        calls = []
+        real = model_mod.first_non_finite_layer
+        monkeypatch.setattr(
+            model_mod, "first_non_finite_layer",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        model_forward(m, x)
+        assert calls == []
+        for p in m.params:
+            for arr in p.values():
+                arr *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(layers.NonFiniteError) as info:
+                model_forward(m, x)
+        last = len(m.specs) - 1
+        assert str(info.value) == (
+            f"{first} is the first to output inf or NaN; layer {last} "
+            f"(log_softmax): log_softmax requires finite entries"
+        )
+        assert len(calls) == 1
 
     def test_end_to_end_gradients_all_architectures(self):
         rng = np.random.default_rng(4)

@@ -39,6 +39,10 @@ from qocnn.training import (
 )
 
 
+# the first layer to output inf or NaN once the weights are scaled by 1e200
+FIRST_NON_FINITE = [("onn", "layer 2 (complex_linear)"), ("qocnn", "layer 0 (quantum_conv)")]
+
+
 class TestNllLoss:
     """nll_mean on one-row batches: the negative log likelihood of one label."""
 
@@ -126,13 +130,18 @@ class TestForwardLoss:
 
 
 class TestBackward:
-    def test_reused_tape_rejected(self):
-        m = tiny_model("qonn")
-        b = tiny_batch(m)
-        _, tape = forward_loss(m, b)
-        backward(m, tape)
-        with pytest.raises(ValueError, match="consumed"):
-            backward(m, tape)
+    @pytest.mark.parametrize("arch", model_mod.ARCHITECTURES)
+    def test_a_tape_gives_the_same_gradients_twice(self, arch):
+        """No backward writes to a cache, so a tape may be swept again."""
+        m = model_mod.new_model(arch, seed=9)
+        batch = Batch(x=random_complex(np.random.default_rng(10), (16, m.in_dim)),
+                      labels=np.arange(16) % m.out_dim)
+        _, tape = forward_loss(m, batch)
+        first, second = backward(m, tape), backward(m, tape)
+        for p1, p2 in zip(first, second):
+            assert p1.keys() == p2.keys()
+            for name in p1:
+                assert p1[name].tobytes() == p2[name].tobytes()
 
     def test_dead_path_gradient_is_zero(self):
         # baseline: gradient reaches both linear layers
@@ -325,6 +334,19 @@ class TestTrainLoop:
         assert str(info.value).startswith(f"training diverged at {where}layer ")
         assert "(log_softmax): log_softmax requires finite entries" in str(info.value)
 
+    @pytest.mark.parametrize("arch,first", FIRST_NON_FINITE)
+    def test_overflowing_weights_name_the_first_layer(self, arch, first):
+        train_ds, test_ds = small_datasets()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(training.DivergenceError) as info:
+                train(scaled_model(arch, 1e200), train_ds, test_ds, TrainConfig(epochs=1))
+        last = len(model_mod.architecture_specs(arch)) - 1
+        assert str(info.value) == (
+            f"training diverged at epoch 1, batch 0: {first} is the first to "
+            f"output inf or NaN; layer {last} (log_softmax): log_softmax "
+            f"requires finite entries"
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -448,17 +470,16 @@ class TestBackwardSkipsInputGradient:
 
         m = model_mod.new_model(arch, seed=7)
         _, tape = forward_loss(m, self.default_batch(m, 8))
-        first = tape.nodes[0]
-        if first.spec.kind == "complex_linear":
-            x, m0 = first.cache
-            first.cache = (x, m0.view(NoConj))
+        if m.specs[0].kind == "complex_linear":
+            x, m0 = tape.caches[0]
+            tape.caches[0] = (x, m0.view(NoConj))
         monkeypatch.setattr(layers, "layer_backward", spy)
         monkeypatch.setattr(layers, "_from_blocks", count_from_blocks)
         backward(m, tape)
         assert returned[-1] is None
         assert all(g is not None for g in returned[:-1])
         if arch == "qocnn":  # stages n-1 .. 1 map their gradient back, stage 0 not
-            n = first.cache[1].n
+            n = tape.caches[0][1].n
             assert n > 1 and from_blocks_stages == list(range(n - 1, 0, -1))
 
 
@@ -912,3 +933,16 @@ class TestGradCheck:
         for p, snap in zip(m.params, snapshot):
             for name in p:
                 assert p[name].tobytes() == snap[name].tobytes()
+
+    @pytest.mark.parametrize("arch,first", FIRST_NON_FINITE)
+    def test_overflowing_weights_name_the_first_layer(self, arch, first):
+        """A small model (conv k=4 > s=2, so M_f is a product of two
+        matrices) with weights scaled by 1e200 overflows before any step."""
+        m = model_mod.new_model(arch, seed=35, in_dim=8, hidden=4, classes=3, conv_k=4)
+        for p in m.params:
+            for arr in p.values():
+                arr *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(layers.NonFiniteError) as info:
+                grad_check(m, tiny_batch(m, seed=36))
+        assert str(info.value).startswith(f"{first} is the first to output inf or NaN; ")
