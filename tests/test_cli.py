@@ -250,6 +250,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "arch,first,last",
         [("onn", "layer 3 (mod_squared)", 4), ("qocnn", "layer 4 (complex_linear)", 6)],
+        ids=["onn", "qocnn"],
     )
     def test_non_finite_activation_exits_3(
         self, arch, first, last, synth_idx_files, tmp_path, capsys
