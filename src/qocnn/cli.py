@@ -3,9 +3,11 @@
 `qocnn.__main__` caps the BLAS threads and then runs `main`; importing
 this module leaves the BLAS settings alone.
 
-Exit codes are stable for scripting: 0 success, 2 missing files or bad
-parameters, 3 training divergence, 4 checkpoint mismatch or a checkpoint
-whose activations overflow, 5 gradient-check failure.
+Exit codes are stable for scripting: 0 success, 2 missing or empty files,
+bad parameters, or a test split in which a class holds no row or every
+row, 3 training divergence, 4 checkpoint mismatch (a test label the
+checkpoint does not score included) or a checkpoint whose activations
+overflow, 5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -41,7 +44,14 @@ class Option(NamedTuple):
     help: str | None = None
 
 
+def _defaults(fn) -> dict:
+    """The default of each keyword parameter of fn, by name."""
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+
 TRAIN_DEFAULTS = training.TrainConfig()
+ARCH_DEFAULTS = _defaults(model_mod.architecture_specs)
+GRAD_CHECK_DEFAULTS = _defaults(training.grad_check)
 
 # The flag of key is --key with dashes, and the config key is key, except
 # for lam, whose flag and config key are "lambda".  Each command's --help
@@ -58,13 +68,13 @@ OPTIONS = {
     "optimizer": Option(str, {"train": TRAIN_DEFAULTS.optimizer}, tuple(training.OPTIMIZERS)),
     "seed": Option(int, {"train": TRAIN_DEFAULTS.seed, "gradcheck": 0}),
     "lam": Option(float, {"train": model_mod.DEFAULT_LAM}),
-    "conv_k": Option(int, {"train": 4}),
-    "conv_s": Option(int, {"train": 2}),
-    "pool_w": Option(int, {"train": 2}),
-    "pool_p": Option(int, {"train": 2}),
+    "conv_k": Option(int, {"train": ARCH_DEFAULTS["conv_k"]}),
+    "conv_s": Option(int, {"train": ARCH_DEFAULTS["conv_s"]}),
+    "pool_w": Option(int, {"train": ARCH_DEFAULTS["pool_w"]}),
+    "pool_p": Option(int, {"train": ARCH_DEFAULTS["pool_p"]}),
     "patience": Option(int, {"train": TRAIN_DEFAULTS.patience}),
-    "eps": Option(float, {"gradcheck": 1e-5}),
-    "tol": Option(float, {"gradcheck": 1e-4}),
+    "eps": Option(float, {"gradcheck": GRAD_CHECK_DEFAULTS["eps"]}),
+    "tol": Option(float, {"gradcheck": GRAD_CHECK_DEFAULTS["tol"]}),
     "checkpoint": Option(str, {"train": None, "evaluate": None, "export": None}),
     "out": Option(str, {"export": None}),
     "layers": Option(int, {"estimate": None}),
@@ -203,6 +213,17 @@ def _check_outputs(eff: dict, *keys: str, files=()) -> None:
             raise Exit(EXIT_USAGE, f"cannot write outputs: {path} is a directory")
 
 
+def _load_split(eff: dict, split: str) -> data.Dataset:
+    """The split of --<split>-images and --<split>-labels; exit 2 if either
+    cannot be read or they hold no images."""
+    images = eff[f"{split}_images"]
+    with _exits(EXIT_USAGE, OSError, ValueError):
+        ds = data.Dataset.load(images, eff[f"{split}_labels"], split)
+    if len(ds) == 0:
+        raise Exit(EXIT_USAGE, f"{_flag(split + '_images')} {images} holds no images")
+    return ds
+
+
 def _write_run_log(out_dir: Path, lines: list[str]) -> None:
     fileio.atomic_write_text(out_dir / "run.log", "\n".join(lines) + "\n")
 
@@ -211,9 +232,6 @@ def _write_run_log(out_dir: Path, lines: list[str]) -> None:
 # commands: each returns on success and raises Exit on failure
 
 
-# Non-finite values are caught and reported with their exit code, so numpy's
-# overflow and invalid-value warnings would only repeat them on stderr.
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_train(eff: dict) -> None:
     _require_files(eff, "train_images", "train_labels", "test_images", "test_labels")
     derived = ["history.csv", "run.log"] + ([] if eff["checkpoint"] else ["model.ckpt"])
@@ -226,9 +244,9 @@ def cmd_train(eff: dict) -> None:
 
     for line in log_lines:
         print(line)
-    with _exits(EXIT_USAGE, OSError, ValueError):
-        train_ds = data.Dataset.load(eff["train_images"], eff["train_labels"], "train")
-        test_ds = data.Dataset.load(eff["test_images"], eff["test_labels"], "test")
+    train_ds = _load_split(eff, "train")
+    test_ds = _load_split(eff, "test")
+    with _exits(EXIT_USAGE, ValueError):
         model = model_mod.new_model(
             eff["arch"],
             seed=eff["seed"],
@@ -264,7 +282,6 @@ def cmd_train(eff: dict) -> None:
         _write_run_log(out_dir, log_lines)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_evaluate(eff: dict) -> None:
     _require_files(eff, "checkpoint", "test_images", "test_labels")
     _check_outputs(
@@ -279,8 +296,22 @@ def cmd_evaluate(eff: dict) -> None:
             f"was requested",
         )
     _check_outputs(eff, files=[f"roc_class_{c}.csv" for c in range(model.out_dim)])
-    with _exits(EXIT_USAGE, OSError, ValueError):
-        ds = data.Dataset.load(eff["test_images"], eff["test_labels"], "test")
+    ds = _load_split(eff, "test")
+    labels_file = eff["test_labels"]
+    counts = np.bincount(ds.labels, minlength=model.out_dim)
+    if counts.size > model.out_dim:
+        raise Exit(
+            EXIT_CHECKPOINT,
+            f"checkpoint incompatible with dataset: --test-labels {labels_file} holds "
+            f"label {counts.size - 1}; the checkpoint scores classes 0..{model.out_dim - 1}",
+        )
+    for c, n in enumerate(counts.tolist()):
+        if n in (0, len(ds)):
+            raise Exit(
+                EXIT_USAGE,
+                f"{'no' if n == 0 else 'every'} row of --test-labels {labels_file} is "
+                f"class {c}; the ROC curve of class {c} needs rows in and out of it",
+            )
     with _exits(EXIT_CHECKPOINT, ValueError, prefix="checkpoint incompatible with dataset: "):
         try:
             log_probs = training.predict_log_probs(model, ds)
@@ -327,7 +358,6 @@ def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batc
     return model, data.Batch(x=x, labels=labels)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_gradcheck(eff: dict) -> None:
     for line in config_lines("gradcheck", eff):
         print(line)
@@ -401,7 +431,6 @@ def cmd_estimate(eff: dict) -> None:
     print(f"input_qubits_mnist = {resources.input_qubits_mnist()}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_export(eff: dict) -> None:
     _require_files(eff, "checkpoint")
     if eff["out"]:
@@ -438,7 +467,7 @@ def cmd_export(eff: dict) -> None:
     payload = {
         "arch": model.arch,
         "seed": model.seed,
-        "lam": model.meta.get("lam"),
+        "lam": model.lam,
         "num_real_params": model.num_params(),
         "layers": records,
     }
@@ -485,7 +514,10 @@ def main(argv=None) -> int:
     try:
         with _exits(EXIT_USAGE, OSError, ValueError):
             eff = effective_config(args)
-        COMMANDS[args.command][0](eff)
+        # Non-finite values are caught and reported with their exit code, so
+        # numpy's overflow and invalid-value warnings would only repeat them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            COMMANDS[args.command][0](eff)
     except Exit as exc:
         _err(str(exc))
         return exc.code

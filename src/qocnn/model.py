@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,14 @@ class ModelGraph:
 
     Trainable parameters are stored as complex128 arrays; each exposes
     2 * size independent real degrees of freedom through its float64 view.
+    seed and lam are what the model was built with; checkpoints keep them.
     """
 
     arch: str
     specs: list[LayerSpec]
     params: list[dict[str, np.ndarray]]
     seed: int = 0
-    meta: dict = field(default_factory=dict)
+    lam: float = DEFAULT_LAM
 
     def __post_init__(self) -> None:
         if self.arch not in ARCHITECTURES:
@@ -47,10 +48,6 @@ class ModelGraph:
                 raise ValueError(
                     f"{spec.kind} parameter shapes {got} do not match {expected}"
                 )
-
-    @property
-    def in_dim(self) -> int:
-        return self.specs[0].in_dim if self.specs else 0
 
     @property
     def out_dim(self) -> int:
@@ -107,13 +104,12 @@ def architecture_specs(
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def new_model(arch: str, seed: int = 0, **kwargs) -> ModelGraph:
+def new_model(arch: str, seed: int = 0, lam: float = DEFAULT_LAM, **kwargs) -> ModelGraph:
     """Freshly initialized model of the named architecture."""
-    specs = architecture_specs(arch, **kwargs)
+    specs = architecture_specs(arch, lam=lam, **kwargs)
     rng = np.random.default_rng(seed)
     params = [init_layer_params(spec, rng) for spec in specs]
-    meta = {"lam": kwargs.get("lam", DEFAULT_LAM)}
-    return ModelGraph(arch=arch, specs=specs, params=params, seed=seed, meta=meta)
+    return ModelGraph(arch=arch, specs=specs, params=params, seed=seed, lam=lam)
 
 
 def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:

@@ -355,75 +355,45 @@ def train(
 # checkpoints
 
 CHECKPOINT_MAGIC = b"QOCN"
-# version 2 appends a little-endian zlib.crc32 of every byte before it;
-# version 1 files, which end at the last parameter, are still read
 CHECKPOINT_VERSION = 2
+
+# A checkpoint is, in order: _PREAMBLE; _HEADER; one _LAYER per layer; for
+# each layer's parameters in name order, _COUNT and then count real parts and
+# count imaginary parts as little-endian float64; from version 2, _CRC.
+# Version 1 files, which end at the last parameter, are still read.  A _LAYER
+# field of 0 stands for None.
+_PREAMBLE = struct.Struct("<4sI")  # magic, version
+_HEADER = struct.Struct("<IqdI")  # architecture id, seed, lam, layer count
+_LAYER = struct.Struct("<IIIdIIII")  # kind id, in_dim, out_dim, lam, k, s, w, p
+_COUNT = struct.Struct("<Q")  # entries of one parameter array
+_CRC = struct.Struct("<I")  # zlib.crc32 of every byte before it
 
 
 class CheckpointError(Exception):
-    """Base class for unreadable checkpoint files."""
-
-
-class CheckpointFormatError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-def _spec_record(spec: LayerSpec) -> bytes:
-    kind_id = LAYER_KINDS.index(spec.kind)
-    lam = spec.lam if spec.lam is not None else 0.0
-    ints = [spec.k or 0, spec.s or 0, spec.w or 0, spec.p or 0]
-    return struct.pack("<III", kind_id, spec.in_dim, spec.out_dim) + struct.pack(
-        "<d", lam
-    ) + struct.pack("<IIII", *ints)
+    """A checkpoint that is corrupt, truncated, of another version or invalid."""
 
 
 def save_checkpoint(model: ModelGraph, path) -> None:
     """Serialize the model atomically; parameter arrays round-trip bit exactly."""
     parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<I", ARCHITECTURES.index(model.arch)),
-        struct.pack("<q", model.seed),
-        struct.pack("<d", model.meta.get("lam", model_mod.DEFAULT_LAM)),
-        struct.pack("<I", len(model.specs)),
+        _PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION),
+        _HEADER.pack(
+            ARCHITECTURES.index(model.arch), model.seed, model.lam, len(model.specs)
+        ),
     ]
-    for spec in model.specs:
-        parts.append(_spec_record(spec))
+    for s in model.specs:
+        parts.append(
+            _LAYER.pack(
+                LAYER_KINDS.index(s.kind), s.in_dim, s.out_dim, s.lam or 0.0,
+                s.k or 0, s.s or 0, s.w or 0, s.p or 0,
+            )
+        )
     for p in model.params:
         for name in sorted(p):
-            arr = p[name]
-            parts.append(struct.pack("<Q", arr.size))
-            parts.append(np.ascontiguousarray(arr.real, dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(arr.imag, dtype="<f8").tobytes())
+            parts.append(_COUNT.pack(p[name].size))
+            parts.append(np.array([p[name].real, p[name].imag], dtype="<f8").tobytes())
     blob = b"".join(parts)
-    fileio.atomic_write_bytes(path, blob + struct.pack("<I", zlib.crc32(blob)))
-
-
-class _Reader:
-    def __init__(self, blob: bytes | memoryview):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes | memoryview:
-        if self.pos + n > len(self.blob):
-            raise CheckpointTruncatedError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
-                f"the payload has {len(self.blob)}"
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    fileio.atomic_write_bytes(path, blob + _CRC.pack(zlib.crc32(blob)))
 
 
 def load_checkpoint(path) -> ModelGraph:
@@ -435,46 +405,46 @@ def load_checkpoint(path) -> ModelGraph:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
-    magic = r.take(4)
+    payload = memoryview(blob)
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(payload):
+            raise CheckpointError(
+                f"checkpoint truncated: wanted {n} bytes at offset {pos}, "
+                f"the payload has {len(payload)}"
+            )
+        pos += n
+        return payload[pos - n : pos]
+
+    magic, version = _PREAMBLE.unpack(take(_PREAMBLE.size))
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(
+        raise CheckpointError(
             f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    (version,) = r.unpack("<I")
     if not 1 <= version <= CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"checkpoint version {version} unsupported, this build reads "
             f"versions 1 to {CHECKPOINT_VERSION}"
         )
     if version >= 2:
-        r.blob = memoryview(blob)[:-4]  # the payload ends where the CRC32 begins
-    (arch_id,) = r.unpack("<I")
+        payload = payload[: -_CRC.size]
+    arch_id, seed, lam, n_layers = _HEADER.unpack(take(_HEADER.size))
     if arch_id >= len(ARCHITECTURES):
-        raise CheckpointFormatError(f"unknown architecture id {arch_id}")
-    (seed,) = r.unpack("<q")
-    (lam,) = r.unpack("<d")
-    (n_layers,) = r.unpack("<I")
+        raise CheckpointError(f"unknown architecture id {arch_id}")
     specs = []
     for i in range(n_layers):
-        kind_id, in_dim, out_dim = r.unpack("<III")
-        (spec_lam,) = r.unpack("<d")
-        k, s, w, p = r.unpack("<IIII")
+        kind_id, in_dim, out_dim, spec_lam, k, s, w, p = _LAYER.unpack(take(_LAYER.size))
         if kind_id >= len(LAYER_KINDS):
-            raise CheckpointFormatError(f"unknown layer kind id {kind_id}")
+            raise CheckpointError(f"unknown layer kind id {kind_id}")
         try:
             spec = LayerSpec(
-                kind=LAYER_KINDS[kind_id],
-                in_dim=in_dim,
-                out_dim=out_dim,
-                lam=spec_lam or None,
-                k=k or None,
-                s=s or None,
-                w=w or None,
-                p=p or None,
+                LAYER_KINDS[kind_id], in_dim, out_dim,
+                lam=spec_lam or None, k=k or None, s=s or None, w=w or None, p=p or None,
             )
         except ValueError as exc:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"checkpoint layer {i} ({LAYER_KINDS[kind_id]}) is invalid: {exc}"
             ) from exc
         specs.append(spec)
@@ -483,42 +453,38 @@ def load_checkpoint(path) -> ModelGraph:
     # kinds only: the gradient checker's small geometries must still load
     expected = [spec.kind for spec in model_mod.architecture_specs(arch)]
     if kinds != expected:
-        raise CheckpointFormatError(
+        raise CheckpointError(
             f"checkpoint labelled {arch} holds layers {', '.join(kinds)}; "
             f"{arch} has {', '.join(expected)}"
         )
     params = []
     for spec in specs:
-        shapes = param_shapes(spec)
         p = {}
-        for name in sorted(shapes):
-            shape = shapes[name]
-            (count,) = r.unpack("<Q")
+        for name, shape in sorted(param_shapes(spec).items()):
+            (count,) = _COUNT.unpack(take(_COUNT.size))
             expected = int(np.prod(shape))
             if count != expected:
-                raise CheckpointFormatError(
+                raise CheckpointError(
                     f"{spec.kind} parameter {name} has {count} entries, "
                     f"expected {expected}"
                 )
-            re = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
-            im = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
-            p[name] = np.ascontiguousarray(re) + 1j * np.ascontiguousarray(im)
+            re, im = np.frombuffer(take(16 * count), dtype="<f8").reshape(2, *shape)
+            p[name] = np.empty(shape, dtype=np.complex128)
+            p[name].real, p[name].imag = re, im  # re + 1j * im loses -0.0 and inf
         params.append(p)
-    if r.pos != len(r.blob):
-        raise CheckpointFormatError(
-            f"{len(r.blob) - r.pos} trailing bytes after checkpoint payload"
+    if pos != len(payload):
+        raise CheckpointError(
+            f"{len(payload) - pos} trailing bytes after checkpoint payload"
         )
     try:
-        model = ModelGraph(
-            arch=arch, specs=specs, params=params, seed=seed, meta={"lam": lam}
-        )
+        model = ModelGraph(arch=arch, specs=specs, params=params, seed=seed, lam=lam)
     except ValueError as exc:
-        raise CheckpointFormatError(f"checkpoint model is invalid: {exc}") from exc
+        raise CheckpointError(f"checkpoint model is invalid: {exc}") from exc
     if version >= 2:
-        (stored,) = struct.unpack("<I", blob[-4:])
-        computed = zlib.crc32(r.blob)
+        (stored,) = _CRC.unpack(blob[-_CRC.size :])
+        computed = zlib.crc32(payload)
         if stored != computed:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"checkpoint CRC32 mismatch: file says 0x{stored:08x}, contents "
                 f"give 0x{computed:08x}; the file is corrupt"
             )

@@ -161,7 +161,7 @@ def tiny_model(arch: str, seed: int = 0) -> model_mod.ModelGraph:
 
 def tiny_batch(model: model_mod.ModelGraph, seed: int = 1, n: int = 4) -> data.Batch:
     rng = np.random.default_rng(seed)
-    x = random_complex(rng, (n, model.in_dim))
+    x = random_complex(rng, (n, model.specs[0].in_dim))
     labels = rng.integers(0, model.out_dim, size=n)
     return data.Batch(x=x, labels=labels)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_model
+from conftest import tiny_model, write_idx_pair
 from qocnn import cli, data, fileio, layers, metrics, model as model_mod, training
 from qocnn import __main__ as qocnn_main
 from qocnn.__main__ import BLAS_VARS
@@ -84,6 +84,20 @@ def kind_flipped_checkpoint(tmp_path):
     blob[32] ^= 0x01
     path.write_bytes(bytes(blob))
     return path
+
+
+def idx_split(dirpath, labels):
+    """IDX files of blank images with these labels, keyed like synth_idx_files."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    images = np.zeros((labels.size, 28, 28), dtype=np.uint8)
+    return dict(zip(["images", "labels"], write_idx_pair(dirpath, images, labels, "split")))
+
+
+def forbid_predict(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("predicted before checking the data")
+
+    monkeypatch.setattr(training, "predict_log_probs", forbidden)
 
 
 KIND_FLIP_ERROR = "error: checkpoint layer 0 (sinusoid) is invalid: sinusoid requires a finite lam > 0\n"
@@ -352,6 +366,15 @@ class TestTrain:
         assert err == f"error: cannot write outputs: {out_dir / name} is a directory\n"
         assert [p.name for p in out_dir.iterdir()] == [name]
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_exits_2_naming_its_file(self, split, synth_idx_files, tmp_path, capsys):
+        empty = idx_split(tmp_path, [])
+        files = {**synth_idx_files, f"{split}_images": empty["images"],
+                 f"{split}_labels": empty["labels"]}
+        code, _, err = run(train_args(files, tmp_path / "out"), capsys)
+        assert (code, err) == (2, f"error: --{split}-images {empty['images']} holds no images\n")
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_with_an_unwritable_run_log_exits_3(
         self, synth_idx_files, tmp_path, capsys, monkeypatch
     ):
@@ -616,6 +639,53 @@ class TestEvaluate:
         assert "(log_softmax): log_softmax requires finite entries" in err
         assert len(err.splitlines()) == 1
         assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_split_exits_2_naming_its_file(
+        self, trained_run, tmp_path, capsys, monkeypatch
+    ):
+        forbid_predict(monkeypatch)
+        empty = idx_split(tmp_path, [])
+        files = {"test_images": empty["images"], "test_labels": empty["labels"]}
+        args = evaluate_args(files, trained_run / "model.ckpt", tmp_path / "out")
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --test-images {empty['images']} holds no images\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_label_beyond_the_checkpoint_classes_exits_4(
+        self, synth_idx_files, tmp_path, capsys, monkeypatch
+    ):
+        forbid_predict(monkeypatch)
+        training.save_checkpoint(model_mod.new_model("onn", classes=3), tmp_path / "m.ckpt")
+        args = evaluate_args(synth_idx_files, tmp_path / "m.ckpt", tmp_path / "out")
+        code, out, err = run(args, capsys)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: checkpoint incompatible with dataset: --test-labels "
+            f"{synth_idx_files['test_labels']} holds label 9; the checkpoint "
+            f"scores classes 0..2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "labels,which,c",
+        [(np.arange(50) % 9, "no", 9), (np.zeros(50), "every", 0)],
+        ids=["no-row", "every-row"],
+    )
+    def test_class_in_no_row_or_every_row_exits_2_naming_it(
+        self, labels, which, c, trained_run, tmp_path, capsys, monkeypatch
+    ):
+        forbid_predict(monkeypatch)
+        split = idx_split(tmp_path, labels)
+        files = {"test_images": split["images"], "test_labels": split["labels"]}
+        args = evaluate_args(files, trained_run / "model.ckpt", tmp_path / "out")
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {which} row of --test-labels {split['labels']} is class {c}; "
+            f"the ROC curve of class {c} needs rows in and out of it\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_exits_2(self, synth_idx_files, tmp_path, capsys):

@@ -114,7 +114,7 @@ class TestForwardBackward:
         rng = np.random.default_rng(1)
         for arch in ("onn", "qonn", "qocnn"):
             m = tiny_model(arch)
-            x = random_complex(rng, (5, m.in_dim))
+            x = random_complex(rng, (5, m.specs[0].in_dim))
             y, _ = model_forward(m, x)
             assert y.shape == (5, m.out_dim)
             np.testing.assert_allclose(np.exp(y).sum(axis=1), 1.0, atol=1e-12)
@@ -123,7 +123,7 @@ class TestForwardBackward:
         m = tiny_model("qonn")
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="layer 0"):
-            model_forward(m, random_complex(rng, (2, m.in_dim + 1)))
+            model_forward(m, random_complex(rng, (2, m.specs[0].in_dim + 1)))
 
     @pytest.mark.parametrize(
         "arch,first", [("onn", "layer 2 (complex_linear)"), ("qocnn", "layer 0 (quantum_conv)")]
@@ -131,7 +131,7 @@ class TestForwardBackward:
     def test_non_finite_forward_names_the_first_layer(self, arch, first, monkeypatch):
         """The second pass runs on the error path only."""
         m = new_model(arch, seed=5)
-        x = random_complex(np.random.default_rng(6), (4, m.in_dim))
+        x = random_complex(np.random.default_rng(6), (4, m.specs[0].in_dim))
         calls = []
         real = model_mod.first_non_finite_layer
         monkeypatch.setattr(
@@ -157,7 +157,7 @@ class TestForwardBackward:
         rng = np.random.default_rng(4)
         for arch in ("onn", "qonn", "qocnn"):
             m = tiny_model(arch)
-            x = random_complex(rng, (3, m.in_dim))
+            x = random_complex(rng, (3, m.specs[0].in_dim))
             a = rng.normal(size=(3, m.out_dim))
             _, tape = model_forward(m, x)
             grads = model_backward(m, tape, a)

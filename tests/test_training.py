@@ -1,10 +1,13 @@
 """Loss, optimizers, the training loop, checkpoints, and grad_check."""
 
+import itertools
 import math
 import os
+import struct
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -24,9 +27,6 @@ from qocnn.model import ModelGraph
 from qocnn.training import (
     AdamOptimizer,
     CheckpointError,
-    CheckpointFormatError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
     SgdOptimizer,
     TrainConfig,
     backward,
@@ -102,7 +102,7 @@ class TestForwardLoss:
     def test_empty_batch_rejected(self):
         m = tiny_model("qonn")
         empty = Batch(
-            x=np.zeros((0, m.in_dim), dtype=np.complex128),
+            x=np.zeros((0, m.specs[0].in_dim), dtype=np.complex128),
             labels=np.zeros(0, dtype=np.int64),
         )
         with pytest.raises(ValueError, match="empty"):
@@ -111,7 +111,7 @@ class TestForwardLoss:
     def test_dimension_error_names_layer(self):
         m = tiny_model("qonn")
         bad = Batch(
-            x=np.zeros((2, m.in_dim + 3), dtype=np.complex128),
+            x=np.zeros((2, m.specs[0].in_dim + 3), dtype=np.complex128),
             labels=np.zeros(2, dtype=np.int64),
         )
         with pytest.raises(ValueError, match="layer 0"):
@@ -134,7 +134,7 @@ class TestBackward:
     def test_a_tape_gives_the_same_gradients_twice(self, arch):
         """No backward writes to a cache, so a tape may be swept again."""
         m = model_mod.new_model(arch, seed=9)
-        batch = Batch(x=random_complex(np.random.default_rng(10), (16, m.in_dim)),
+        batch = Batch(x=random_complex(np.random.default_rng(10), (16, m.specs[0].in_dim)),
                       labels=np.arange(16) % m.out_dim)
         _, tape = forward_loss(m, batch)
         first, second = backward(m, tape), backward(m, tape)
@@ -428,7 +428,7 @@ class TestBackwardSkipsInputGradient:
     def default_batch(m, seed):
         rng = np.random.default_rng(seed)
         return Batch(
-            x=random_complex(rng, (64, m.in_dim)),
+            x=random_complex(rng, (64, m.specs[0].in_dim)),
             labels=rng.integers(0, m.out_dim, 64),
         )
 
@@ -682,7 +682,45 @@ class TestThreadedPredict:
         assert len(ran) <= 4
 
 
+def checkpoint_bytes_oracle(model: ModelGraph) -> bytes:
+    """A version 2 checkpoint packed one field at a time: the file layout
+    written down apart from the record structs of qocnn.training."""
+    parts = [
+        b"QOCN",
+        struct.pack("<I", 2),
+        struct.pack("<I", model_mod.ARCHITECTURES.index(model.arch)),
+        struct.pack("<q", model.seed),
+        struct.pack("<d", model.lam),
+        struct.pack("<I", len(model.specs)),
+    ]
+    for spec in model.specs:
+        parts.append(struct.pack("<III", layers.LAYER_KINDS.index(spec.kind),
+                                 spec.in_dim, spec.out_dim))
+        parts.append(struct.pack("<d", spec.lam if spec.lam is not None else 0.0))
+        parts.append(struct.pack("<IIII", spec.k or 0, spec.s or 0, spec.w or 0, spec.p or 0))
+    for p in model.params:
+        for name in sorted(p):
+            arr = p[name]
+            parts.append(struct.pack("<Q", arr.size))
+            parts.append(np.ascontiguousarray(arr.real, dtype="<f8").tobytes())
+            parts.append(np.ascontiguousarray(arr.imag, dtype="<f8").tobytes())
+    blob = b"".join(parts)
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
 class TestCheckpoints:
+    @pytest.mark.parametrize("arch", model_mod.ARCHITECTURES)
+    @pytest.mark.parametrize("build", ["default", "lam=0.5", "gradcheck"])
+    def test_bytes_match_the_field_by_field_oracle(self, arch, build, tmp_path):
+        if build == "gradcheck":
+            m, _ = cli.tiny_instance(arch, seed=3)
+        elif build == "lam=0.5":
+            m = model_mod.new_model(arch, seed=3, lam=0.5)
+        else:
+            m = model_mod.new_model(arch, seed=3)
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        assert (tmp_path / "m.ckpt").read_bytes() == checkpoint_bytes_oracle(m)
+
     def test_round_trip_bitwise(self, tmp_path):
         for arch in ("onn", "qonn", "qocnn"):
             m = tiny_model(arch, seed=21)
@@ -696,6 +734,18 @@ class TestCheckpoints:
                 assert sorted(pa) == sorted(pb)
                 for name in pa:
                     assert pa[name].tobytes() == pb[name].tobytes()
+
+    def test_signed_zeros_and_non_finite_weights_round_trip_bitwise(self, tmp_path):
+        m = tiny_model("onn", seed=24)
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5]
+        pairs = np.array(list(itertools.product(special, repeat=2)))  # (re, im)
+        z = m.params[0]["M"].reshape(-1)  # 48 entries, a view
+        z.real[: len(pairs)], z.imag[: len(pairs)] = pairs.T
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        for pa, pb in zip(m.params, loaded.params):
+            for name in pa:
+                assert pa[name].tobytes() == pb[name].tobytes()
 
     def test_saved_file_round_trips_through_resave(self, tmp_path):
         m = tiny_model("qocnn", seed=22)
@@ -711,7 +761,9 @@ class TestCheckpoints:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError, match="magic"):
+        with pytest.raises(
+            CheckpointError, match=r"^bad checkpoint magic b'NOPE', expected b'QOCN'$"
+        ):
             load_checkpoint(path)
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
@@ -720,23 +772,32 @@ class TestCheckpoints:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (9).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointVersionError, match="9") as info:
+        with pytest.raises(
+            CheckpointError,
+            match=r"^checkpoint version 9 unsupported, this build reads versions 1 to 2$",
+        ):
             load_checkpoint(path)
-        assert "1" in str(info.value)
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "cut.ckpt"
         save_checkpoint(tiny_model("onn"), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(CheckpointTruncatedError):
+        # the CRC32 is the last 4 bytes left, so the payload ends 20 bytes short
+        with pytest.raises(
+            CheckpointError,
+            match=rf"^checkpoint truncated: wanted \d+ bytes at offset \d+, "
+            rf"the payload has {len(blob) - 20}$",
+        ):
             load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "extra.ckpt"
         save_checkpoint(tiny_model("onn"), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CheckpointFormatError, match="trailing"):
+        with pytest.raises(
+            CheckpointError, match=r"^8 trailing bytes after checkpoint payload$"
+        ):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("arch,label", [("qonn", "onn"), ("onn", "qocnn")])
@@ -746,7 +807,7 @@ class TestCheckpoints:
         blob = bytearray(path.read_bytes())
         blob[8:12] = model_mod.ARCHITECTURES.index(label).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError) as info:
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         msg = str(info.value)
         assert msg.startswith(f"checkpoint labelled {label} holds layers ")
@@ -789,7 +850,7 @@ class TestCheckpoints:
         flipped = bytearray(blob)
         flipped[-12] ^= 0x01  # low mantissa bit of the last weight's imaginary part
         (tmp_path / "bad.ckpt").write_bytes(bytes(flipped))
-        with pytest.raises(CheckpointFormatError, match="^checkpoint CRC32 mismatch: "):
+        with pytest.raises(CheckpointError, match="^checkpoint CRC32 mismatch: "):
             load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_an_invalid_layer_names_it(self, tmp_path):
@@ -799,7 +860,7 @@ class TestCheckpoints:
         blob[32] ^= 0x01  # the first layer's kind id: complex_linear -> sinusoid
         path.write_bytes(bytes(blob))
         with pytest.raises(
-            CheckpointFormatError,
+            CheckpointError,
             match=r"^checkpoint layer 0 \(sinusoid\) is invalid: sinusoid requires a finite lam > 0$",
         ):
             load_checkpoint(path)
@@ -811,7 +872,7 @@ class TestCheckpoints:
         (tmp_path / "v1.ckpt").write_bytes(v1)
         loaded = load_checkpoint(tmp_path / "v1.ckpt")
         assert loaded.arch == m.arch and loaded.specs == m.specs
-        assert loaded.seed == m.seed and loaded.meta == m.meta
+        assert loaded.seed == m.seed and loaded.lam == m.lam
         for pa, pb in zip(m.params, loaded.params):
             assert sorted(pa) == sorted(pb)
             for name in pa:
