@@ -217,8 +217,11 @@ class ConvPlan:
     diagonal with shifted-out entries dropped.  Their product M_f applied to
     a row vector emulates the overlapping-window convolution.
 
-    conv_forward and conv_backward apply each matrix block by block and never
-    form it; conv_forward of the identity gives M_f.
+    conv_forward and conv_backward never form a matrix.  A batch lives in
+    stage buffers of rows of the padded length R = k_tot*n*s, where the
+    kernel blocks of M_{i+1} are the k-wide slots from i*s on, n*s apart:
+    each stage is one gemm from the slots of one buffer into the same slots
+    of the next.  conv_forward of the identity gives M_f.
     """
 
     d: int
@@ -228,6 +231,10 @@ class ConvPlan:
     s0: int
     k_tot: int
     kernel: np.ndarray
+
+    @property
+    def row(self) -> int:  # R, the row length of a stage buffer
+        return self.k_tot * self.n * self.s
 
 
 def conv_geometry(d: int, k: int, s: int) -> tuple[int, int, int]:
@@ -245,42 +252,45 @@ def build_conv_plan(kernel: np.ndarray, d: int, k: int, s: int) -> ConvPlan:
     return ConvPlan(d, k, s, *conv_geometry(d, k, s), kernel)
 
 
-def _to_blocks(a: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
-    """(b, d) rows -> the (b * k_tot, k) inputs of the kernel blocks of M_i.
-
-    Block j of M_i covers indices i*s + j*n*s onwards.  The row is shifted by
-    i*s and zero-padded to k_tot*n*s, so indices past d read as zero: this is
-    how the dense matrices drop the entries of partial kernels.
-    """
-    b, shift, width = a.shape[0], i * plan.s, plan.n * plan.s
-    keep = plan.d - shift
-    if keep == plan.k_tot * width:  # no shift, no padding: the row itself
-        padded = a
-    else:
-        padded = np.empty((b, plan.k_tot * width), dtype=a.dtype)
-        padded[:, :keep] = a[:, shift:]
-        padded[:, keep:] = 0
-    return padded.reshape(b, plan.k_tot, width)[:, :, : plan.k].reshape(-1, plan.k)
+def _stage_buffer(b: int, plan: ConvPlan) -> np.ndarray:
+    """An uninitialised stage buffer: b rows of length R, then a slack row."""
+    return np.empty((b + 1, plan.row), dtype=np.complex128)
 
 
-def _from_blocks(blocks: np.ndarray, plan: ConvPlan, i: int) -> np.ndarray:
-    """Inverse of _to_blocks: block outputs -> (b, d) rows, truncated at d,
-    with the indices no block of M_i covers left at zero."""
-    shift, width = i * plan.s, plan.n * plan.s
-    b = blocks.shape[0] // plan.k_tot
-    if width == plan.k:  # blocks tile the padded row
-        row = blocks.reshape(b, -1)
-    else:
-        padded = np.empty((b, plan.k_tot, width), dtype=blocks.dtype)
-        padded[:, :, : plan.k] = blocks.reshape(b, plan.k_tot, plan.k)
-        padded[:, :, plan.k :] = 0
-        row = padded.reshape(b, -1)
-    if shift == 0:
-        return row[:, : plan.d]
-    out = np.empty((b, plan.d), dtype=blocks.dtype)
-    out[:, :shift] = 0
-    out[:, shift:] = row[:, : plan.d - shift]
-    return out
+def _slots(buf: np.ndarray, b: int, plan: ConvPlan, i: int) -> np.ndarray:
+    """The (b * k_tot, n*s) blocks of M_{i+1} in the rows of buf, with the
+    slots in their first k columns.  Block j of a row starts at i*s + j*n*s,
+    so for i > 0 the last one runs on into the next row (or the slack)."""
+    start, width = i * plan.s, plan.n * plan.s
+    return buf.reshape(-1)[start : start + b * plan.row].reshape(b * plan.k_tot, width)
+
+
+def _clear(buf: np.ndarray, plan: ConvPlan, head: int) -> np.ndarray:
+    """Zero the head [0, head) and the tail [d, R) of every row, the slack
+    row's included: a stage reads them, but they hold no data."""
+    buf[:, :head] = 0
+    buf[:, plan.d :] = 0
+    return buf
+
+
+def _load(a: np.ndarray, plan: ConvPlan, head: int) -> np.ndarray:
+    """A stage buffer holding columns head..d of the rows of a."""
+    buf = _clear(_stage_buffer(a.shape[0], plan), plan, head)
+    buf[:-1, head : plan.d] = a[:, head:]
+    return buf
+
+
+def _stage(a: np.ndarray, e: np.ndarray, plan: ConvPlan, i: int, head: int) -> np.ndarray:
+    """A stage buffer holding a @ e in the slots of M_{i+1}, zero in the
+    gaps between them and cleared after the gemm: the tail past d drops the
+    entries of partial kernels, and a head of at least i*s covers where the
+    previous row's last block ran on."""
+    b = a.shape[0] // plan.k_tot
+    buf = _stage_buffer(b, plan)
+    blocks = _slots(buf, b, plan, i)
+    np.matmul(a, e, out=blocks[:, : plan.k].view(np.float64))
+    blocks[:, plan.k :] = 0
+    return _clear(buf, plan, head)
 
 
 def real_embedding(kernel: np.ndarray) -> np.ndarray:
@@ -298,40 +308,42 @@ def real_embedding(kernel: np.ndarray) -> np.ndarray:
 
 def conv_forward(x: np.ndarray, plan: ConvPlan) -> tuple[np.ndarray, tuple]:
     """y = x @ M_1 @ ... @ M_n, each M_i applied as one batched block product
-    in real arithmetic: the (b * k_tot, k) block inputs, seen as interleaved
-    (b * k_tot, 2k) floats, times the real embedding of the kernel."""
-    e = real_embedding(plan.kernel)
+    in real arithmetic: the slots, seen as interleaved (b * k_tot, 2k)
+    floats, times the real embedding of the kernel.  Stage i < n-1 clears
+    the head [0, (i+1)*s) that the next stage drops."""
+    e, b = real_embedding(plan.kernel), x.shape[0]
+    if plan.row == plan.d and x.dtype == np.complex128 and x.flags.c_contiguous:
+        buf = x  # no padding: stage 0 reads x in place
+    else:
+        buf = _load(x, plan, 0)
     blocks = []
-    y = x
     for i in range(plan.n):
-        blocks.append(_float_view(_to_blocks(y, plan, i)))
-        y = _from_blocks((blocks[-1] @ e).view(np.complex128), plan, i)
-    return y, (blocks, plan, e)
+        blocks.append(_slots(buf, b, plan, i)[:, : plan.k].view(np.float64))
+        buf = _stage(blocks[-1], e, plan, i, min(i + 1, plan.n - 1) * plan.s)
+    return buf[:b, : plan.d], (blocks, plan, e)
 
 
 def conv_backward(
     grad_out: np.ndarray, cache: tuple, *, need_input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """The forward's blocks in reverse: the input gradient goes through E^T,
-    the embedding of K^H.  R, the sum of block input^T @ block output
-    gradient over all blocks of all composition matrices, folds to the
-    kernel gradient x^H g as (R_re,re + R_im,im) + i (R_re,im - R_im,re).
-    Without need_input_grad the input gradient of M_1 is never formed and
-    None is returned for it."""
+    """The forward's stages in reverse: the input gradient goes through E^T,
+    the embedding of K^H.  r, the sum of block input^T @ block output
+    gradient over all stages, folds to the kernel gradient x^H g as
+    (r_re,re + r_im,im) + i (r_re,im - r_im,re).  Without need_input_grad
+    the input gradient of M_1 is never formed and None is returned for it."""
     blocks, plan, e = cache
+    b = grad_out.shape[0]
     r = np.zeros((2 * plan.k, 2 * plan.k))
-    g = grad_out
+    buf = _load(grad_out, plan, (plan.n - 1) * plan.s)
     for i in reversed(range(plan.n)):
-        g_blocks = _float_view(_to_blocks(g, plan, i))
+        g_blocks = _slots(buf, b, plan, i)[:, : plan.k].view(np.float64)
         r += blocks[i].T @ g_blocks
-        if i == 0 and not need_input_grad:
-            g = None
-            break
-        g = _from_blocks((g_blocks @ e.T).view(np.complex128), plan, i)
+        if i or need_input_grad:
+            buf = _stage(g_blocks, e.T, plan, i, i * plan.s)
     grad_k = np.empty((plan.k, plan.k), dtype=np.complex128)
     grad_k.real = r[0::2, 0::2] + r[1::2, 1::2]
     grad_k.imag = r[0::2, 1::2] - r[1::2, 0::2]
-    return g, grad_k
+    return (buf[:b, : plan.d] if need_input_grad else None), grad_k
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +398,13 @@ def split_max_pool_forward(
     span = p * (m - 1) + 1
     y = np.empty((x.shape[0], 2 * m))
     for h in (0, 1):  # one half at a time, so each slice runs the length of a row
-        half = xf[:, h::2]
-        best = half[:, :span:p]
-        for j in range(1, w):
-            best = np.maximum(best, half[:, j : j + span : p])
-        y[:, h::2] = best
+        half, best = xf[:, h::2], y[:, h::2]
+        if w == 1:
+            best[...] = half[:, :span:p]
+        else:  # the maxima build up in place in their half of y
+            np.maximum(half[:, :span:p], half[:, 1 : 1 + span : p], out=best)
+        for j in range(2, w):
+            np.maximum(best, half[:, j : j + span : p], out=best)
     return y.view(np.complex128), (xf, w, p)
 
 

@@ -168,9 +168,11 @@ def tiny_batch(model: model_mod.ModelGraph, seed: int = 1, n: int = 4) -> data.B
 
 # ---------------------------------------------------------------------------
 # oracles: the code paths that rebuilt complex arrays as re + 1j*im, before
-# the layers moved to the interleaved float view.  Each in HOT_PATH_ORACLES
-# matches its replacement bit for bit on finite data; the complex-arithmetic
-# conv does not (its sums run in another order) and is checked within 1e-12.
+# the layers moved to the interleaved float view, and the conv that copied
+# each stage's rows into zero-padded blocks, before the stage buffers.  Each
+# in HOT_PATH_ORACLES matches its replacement bit for bit on finite data; the
+# complex-arithmetic conv does not (its sums run in another order) and is
+# checked within 1e-12.
 
 
 def pool_half_oracle(a: np.ndarray, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +232,38 @@ def from_blocks_oracle(blocks: np.ndarray, plan, i: int) -> np.ndarray:
     return out
 
 
+def conv_forward_real_oracle(x: np.ndarray, plan) -> tuple[np.ndarray, tuple]:
+    """The conv in real arithmetic on copies: stage i copies the rows into
+    zero-padded (b * k_tot, k) blocks, multiplies their float view by the
+    real embedding of K and copies the products back into (b, d) rows."""
+    e = layers.real_embedding(plan.kernel)
+    blocks = []
+    y = x
+    for i in range(plan.n):
+        blocks.append(layers._float_view(to_blocks_oracle(y, plan, i)))
+        y = from_blocks_oracle((blocks[-1] @ e).view(np.complex128), plan, i)
+    return y, (blocks, plan, e)
+
+
+def conv_backward_real_oracle(grad_out, cache, *, need_input_grad=True):
+    """The same copies in reverse: the input gradient through E^T, the kernel
+    gradient folded from the sum of block input^T @ block output gradient."""
+    blocks, plan, e = cache
+    r = np.zeros((2 * plan.k, 2 * plan.k))
+    g = grad_out
+    for i in reversed(range(plan.n)):
+        g_blocks = layers._float_view(to_blocks_oracle(g, plan, i))
+        r += blocks[i].T @ g_blocks
+        if i == 0 and not need_input_grad:
+            g = None
+            break
+        g = from_blocks_oracle((g_blocks @ e.T).view(np.complex128), plan, i)
+    grad_k = np.empty((plan.k, plan.k), dtype=np.complex128)
+    grad_k.real = r[0::2, 0::2] + r[1::2, 1::2]
+    grad_k.imag = r[0::2, 1::2] - r[1::2, 0::2]
+    return g, grad_k
+
+
 def conv_forward_oracle(x: np.ndarray, plan) -> tuple[np.ndarray, tuple]:
     """The conv as complex block products: (b * k_tot, k) blocks @ K."""
     blocks = []
@@ -286,8 +320,8 @@ HOT_PATH_ORACLES = (
     (layers, "split_max_pool_backward", pool_backward_oracle),
     (layers, "sinusoid_forward", sinusoid_forward_oracle),
     (layers, "sinusoid_backward", sinusoid_backward_oracle),
-    (layers, "_to_blocks", to_blocks_oracle),
-    (layers, "_from_blocks", from_blocks_oracle),
+    (layers, "conv_forward", conv_forward_real_oracle),
+    (layers, "conv_backward", conv_backward_real_oracle),
     (data, "batch_iter", batch_iter_oracle),
     (training, "predict_log_probs", predict_log_probs_oracle),
     (training, "model_backward", model_backward_oracle),

@@ -10,11 +10,15 @@ import pytest
 from conftest import (
     FD_TOL,
     conv_backward_oracle,
+    conv_backward_real_oracle,
     conv_forward_oracle,
+    conv_forward_real_oracle,
     fd_grad,
+    from_blocks_oracle,
     max_rel_err,
     packed_view,
     random_complex,
+    to_blocks_oracle,
 )
 from qocnn import layers
 
@@ -69,10 +73,11 @@ def unit_kernel(k: int, y: int, z: int) -> np.ndarray:
 
 
 def block_stage(x: np.ndarray, plan, i: int) -> np.ndarray:
-    """x @ M_{i+1} through stage i of the block path, as conv_forward runs it."""
-    blocks = layers._float_view(layers._to_blocks(x, plan, i))
+    """x @ M_{i+1} through stage i of the block path, as the bitwise oracle
+    conv_forward_real_oracle (conftest) runs it."""
+    blocks = layers._float_view(to_blocks_oracle(x, plan, i))
     out = blocks @ layers.real_embedding(plan.kernel)
-    return layers._from_blocks(out.view(np.complex128), plan, i)
+    return from_blocks_oracle(out.view(np.complex128), plan, i)
 
 
 def naive_window_forward(x: np.ndarray, kernel: np.ndarray, d, k, s) -> np.ndarray:
@@ -130,10 +135,12 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
 
-def all_cases(d_max=12, k_max=4):
+def all_cases(d_max=12, k_max=4, s_max=None):
+    """Every (d, k, s) with d <= d_max, k <= min(k_max, d) and s <= s_max,
+    or s <= k without s_max."""
     for d in range(1, d_max + 1):
         for k in range(1, min(k_max, d) + 1):
-            for s in range(1, k + 1):
+            for s in range(1, (s_max or k) + 1):
                 yield d, k, s
 
 
@@ -385,6 +392,79 @@ class TestRealArithmeticMatchesComplexOracle:
                     b"".join(a.tobytes() for a in (y, *layers.conv_backward(gs, cache)))
                 )
             assert got[0] == got[1], (d, k, s)
+
+
+# s > k, gapped blocks (s0 > 0) and d not a multiple of n*s, then wide rows
+STAGE_BUFFER_CASES = [
+    *all_cases(d_max=14, k_max=5, s_max=7),
+    (392, 4, 2), (392, 5, 2), (392, 3, 7), (392, 8, 3), (20, 3, 5), (100, 9, 4),
+]
+
+
+class TestStageBuffersMatchTheCopyingConv:
+    """The conv on stage buffers against the conv that copied every stage
+    into zero-padded blocks (conftest): the same gemms on the same operands."""
+
+    @staticmethod
+    def run(conv_forward, conv_backward, plan, x, g):
+        """y, then grad_x and grad_K with and without the input gradient."""
+        y, cache = conv_forward(x, plan)
+        gx, gk = conv_backward(g, cache)
+        skipped, gk_skipped = conv_backward(g, cache, need_input_grad=False)
+        assert skipped is None
+        return [a.tobytes() for a in (y, gx, gk, gk_skipped)]
+
+    @classmethod
+    def each_case(cls, batches=(1, 2, 5, 64)):
+        rng = np.random.default_rng(26)
+        for d, k, s in STAGE_BUFFER_CASES:
+            for b in batches:
+                plan = layers.build_conv_plan(random_complex(rng, (k, k)), d, k, s)
+                x, g = random_complex(rng, (b, d)), random_complex(rng, (b, d))
+                want = cls.run(
+                    conv_forward_real_oracle, conv_backward_real_oracle, plan, x, g
+                )
+                yield (d, k, s, b), plan, x, g, want
+
+    def test_output_and_gradients_bitwise(self):
+        for case, plan, x, g, want in self.each_case():
+            got = self.run(layers.conv_forward, layers.conv_backward, plan, x, g)
+            assert got == want, case
+
+    def test_no_stale_buffer_entry_leaks(self, monkeypatch):
+        """Every entry a stage reads is written or zeroed first: buffers that
+        start as NaN give the same bytes, and x keeps its own."""
+        stage_buffer = layers._stage_buffer
+
+        def nan_filled(b, plan):
+            buf = stage_buffer(b, plan)
+            buf.fill(np.nan)
+            return buf
+
+        monkeypatch.setattr(layers, "_stage_buffer", nan_filled)
+        for case, plan, x, g, want in self.each_case():
+            x_bytes = x.tobytes()
+            got = self.run(layers.conv_forward, layers.conv_backward, plan, x, g)
+            assert got == want and x.tobytes() == x_bytes, case
+
+    def test_default_geometry_reads_x_in_place(self):
+        rng = np.random.default_rng(27)
+        plan = layers.build_conv_plan(random_complex(rng, (4, 4)), 392, 4, 2)
+        assert plan.row == plan.d and plan.s0 == 0
+        x = random_complex(rng, (8, 392))
+        y, (blocks, _, _) = layers.conv_forward(x, plan)
+        assert np.shares_memory(blocks[0], x)
+        assert not np.shares_memory(y, x) and y.flags.c_contiguous
+
+    def test_backward_passes_over_one_cache_agree(self):
+        rng = np.random.default_rng(28)
+        for d, k, s in [(392, 4, 2), (392, 5, 2), (20, 3, 5), (13, 5, 2)]:
+            plan = layers.build_conv_plan(random_complex(rng, (k, k)), d, k, s)
+            x, g = random_complex(rng, (5, d)), random_complex(rng, (5, d))
+            _, cache = layers.conv_forward(x, plan)
+            first = [a.tobytes() for a in layers.conv_backward(g, cache)]
+            again = [a.tobytes() for a in layers.conv_backward(g, cache)]
+            assert again == first, (d, k, s)
 
 
 class TestRealEmbedding:

@@ -461,12 +461,12 @@ class TestBackwardSkipsInputGradient:
             returned.append(out[0])
             return out
 
-        from_blocks_stages = []
-        from_blocks = layers._from_blocks
+        mapped_back = []
+        stage = layers._stage
 
-        def count_from_blocks(blocks, plan, i):
-            from_blocks_stages.append(i)
-            return from_blocks(blocks, plan, i)
+        def record_stage(a, e, plan, i, head):
+            mapped_back.append(i)
+            return stage(a, e, plan, i, head)
 
         m = model_mod.new_model(arch, seed=7)
         _, tape = forward_loss(m, self.default_batch(m, 8))
@@ -474,13 +474,13 @@ class TestBackwardSkipsInputGradient:
             x, m0 = tape.caches[0]
             tape.caches[0] = (x, m0.view(NoConj))
         monkeypatch.setattr(layers, "layer_backward", spy)
-        monkeypatch.setattr(layers, "_from_blocks", count_from_blocks)
+        monkeypatch.setattr(layers, "_stage", record_stage)  # after the forward
         backward(m, tape)
         assert returned[-1] is None
         assert all(g is not None for g in returned[:-1])
         if arch == "qocnn":  # stages n-1 .. 1 map their gradient back, stage 0 not
             n = tape.caches[0][1].n
-            assert n > 1 and from_blocks_stages == list(range(n - 1, 0, -1))
+            assert n > 1 and mapped_back == list(range(n - 1, 0, -1))
 
 
 class TestPoolArgmaxOnlyInBackward:
