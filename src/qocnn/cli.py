@@ -164,6 +164,8 @@ def effective_config(args) -> dict:
             eff[key] = getattr(args, key)
     if eff.get("seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {eff['seed']}")
+    if eff.get("seed", 0) >= 2**63:  # a checkpoint stores it as a signed 64-bit int
+        raise ValueError(f"--seed must be < 2**63, got {eff['seed']}")
     return eff
 
 
@@ -236,6 +238,18 @@ def cmd_train(eff: dict) -> None:
     _require_files(eff, "train_images", "train_labels", "test_images", "test_labels")
     derived = ["history.csv", "run.log"] + ([] if eff["checkpoint"] else ["model.ckpt"])
     _check_outputs(eff, "checkpoint", "out_dir", files=derived)
+    with _exits(EXIT_USAGE, ValueError):
+        model = model_mod.new_model(
+            seed=eff["seed"], **{k: eff[k] for k in ARCH_DEFAULTS if k in eff}
+        )
+        config = training.TrainConfig(
+            epochs=eff["epochs"],
+            batch_size=eff["batch_size"],
+            learning_rate=eff["lr"],
+            optimizer=eff["optimizer"],
+            seed=eff["seed"],
+            patience=eff["patience"],
+        )
     log_lines = config_lines("train", eff)
 
     def log(msg: str) -> None:
@@ -246,24 +260,6 @@ def cmd_train(eff: dict) -> None:
         print(line)
     train_ds = _load_split(eff, "train")
     test_ds = _load_split(eff, "test")
-    with _exits(EXIT_USAGE, ValueError):
-        model = model_mod.new_model(
-            eff["arch"],
-            seed=eff["seed"],
-            lam=eff["lam"],
-            conv_k=eff["conv_k"],
-            conv_s=eff["conv_s"],
-            pool_w=eff["pool_w"],
-            pool_p=eff["pool_p"],
-        )
-        config = training.TrainConfig(
-            epochs=eff["epochs"],
-            batch_size=eff["batch_size"],
-            learning_rate=eff["lr"],
-            optimizer=eff["optimizer"],
-            seed=eff["seed"],
-            patience=eff["patience"],
-        )
     out_dir = Path(eff["out_dir"])
     try:
         _, history = training.train(model, train_ds, test_ds, config, log=log)

@@ -60,30 +60,6 @@ def pooled_len(n: int, w: int, p: int) -> int:
     return (n - w) // p + 1
 
 
-def linear_spec(in_dim: int, out_dim: int) -> LayerSpec:
-    return LayerSpec("complex_linear", in_dim, out_dim)
-
-
-def sinusoid_spec(n: int, lam: float) -> LayerSpec:
-    return LayerSpec("sinusoid", n, n, lam=lam)
-
-
-def mod_softplus_spec(n: int) -> LayerSpec:
-    return LayerSpec("mod_softplus", n, n)
-
-
-def mod_squared_spec(n: int) -> LayerSpec:
-    return LayerSpec("mod_squared", n, n)
-
-
-def log_softmax_spec(n: int) -> LayerSpec:
-    return LayerSpec("log_softmax", n, n)
-
-
-def conv_spec(d: int, k: int, s: int) -> LayerSpec:
-    return LayerSpec("quantum_conv", d, d, k=k, s=s)
-
-
 def pool_spec(n: int, w: int = 2, p: int = 2) -> LayerSpec:
     if p < 1:  # pooled_len divides by p before LayerSpec can check it
         raise ValueError(f"pooling stride p must be >= 1, got {p}")
@@ -454,6 +430,8 @@ def _check_conv(spec: LayerSpec) -> None:
         raise ValueError(f"stepsize must be >= 1, got {spec.s}")
     if not 1 <= spec.k <= spec.in_dim:
         raise ValueError(f"kernel side {spec.k} must lie in 1..{spec.in_dim}")
+    if spec.s > spec.in_dim:  # every s >= d gives the M_f of s = d
+        raise ValueError(f"stepsize {spec.s} exceeds input length {spec.in_dim}")
     if spec.out_dim != spec.in_dim:
         raise ValueError("quantum_conv maps D to D")
 
@@ -465,6 +443,8 @@ def _check_pool(spec: LayerSpec) -> None:
         raise ValueError("pooling window and stride must be >= 1")
     if spec.w > spec.in_dim:
         raise ValueError(f"pooling window {spec.w} exceeds input length {spec.in_dim}")
+    if spec.p > spec.in_dim:  # every p >= in_dim gives one window per row
+        raise ValueError(f"pooling stride {spec.p} exceeds input length {spec.in_dim}")
     if spec.out_dim != pooled_len(spec.in_dim, spec.w, spec.p):
         raise ValueError("split_max_pool out_dim inconsistent with (w, p)")
 

@@ -69,39 +69,28 @@ def architecture_specs(
     pool_w: int = 2,
     pool_p: int = 2,
 ) -> list[LayerSpec]:
-    """Default layer stacks for the three architectures, dims overridable."""
-    if arch == "onn":
-        h = 128 if hidden is None else hidden
-        return [
-            layers.linear_spec(in_dim, h),
-            layers.mod_softplus_spec(h),
-            layers.linear_spec(h, classes),
-            layers.mod_squared_spec(classes),
-            layers.log_softmax_spec(classes),
-        ]
-    if arch == "qonn":
-        h = 128 if hidden is None else hidden
-        return [
-            layers.linear_spec(in_dim, h),
-            layers.sinusoid_spec(h, lam),
-            layers.linear_spec(h, classes),
-            layers.mod_squared_spec(classes),
-            layers.log_softmax_spec(classes),
-        ]
+    """The paper's three stacks, dims overridable.  Each ends in one tail:
+    complex_linear, a nonlinearity, complex_linear, mod_squared and
+    log_softmax.  The ONN's nonlinearity is mod_softplus; QONN swaps in the
+    sinusoid, and QOCNN is QONN behind a quantum conv and a split max pool."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
+    front = []
     if arch == "qocnn":
-        h = 64 if hidden is None else hidden
-        conv = layers.conv_spec(in_dim, conv_k, conv_s)
-        pool = layers.pool_spec(in_dim, pool_w, pool_p)
-        return [
-            conv,
-            pool,
-            layers.linear_spec(pool.out_dim, h),
-            layers.sinusoid_spec(h, lam),
-            layers.linear_spec(h, classes),
-            layers.mod_squared_spec(classes),
-            layers.log_softmax_spec(classes),
+        front = [
+            LayerSpec("quantum_conv", in_dim, in_dim, k=conv_k, s=conv_s),
+            layers.pool_spec(in_dim, pool_w, pool_p),
         ]
-    raise ValueError(f"unknown architecture {arch!r}")
+        in_dim = front[-1].out_dim
+    h = hidden if hidden is not None else 64 if arch == "qocnn" else 128
+    return front + [
+        LayerSpec("complex_linear", in_dim, h),
+        LayerSpec("mod_softplus", h, h) if arch == "onn"
+        else LayerSpec("sinusoid", h, h, lam=lam),
+        LayerSpec("complex_linear", h, classes),
+        LayerSpec("mod_squared", classes, classes),
+        LayerSpec("log_softmax", classes, classes),
+    ]
 
 
 def new_model(arch: str, seed: int = 0, lam: float = DEFAULT_LAM, **kwargs) -> ModelGraph:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qocnn import data, layers, model as model_mod, training
+from qocnn import cli, data, layers, model as model_mod, training
 
 FD_EPS = 1e-5
 FD_TOL = 1e-4
@@ -151,12 +151,8 @@ def mnist_paths() -> dict[str, Path]:
 
 
 def tiny_model(arch: str, seed: int = 0) -> model_mod.ModelGraph:
-    if arch == "qocnn":
-        return model_mod.new_model(
-            arch, seed=seed, in_dim=8, hidden=4, classes=3,
-            conv_k=2, conv_s=2, pool_w=2, pool_p=2,
-        )
-    return model_mod.new_model(arch, seed=seed, in_dim=8, hidden=6, classes=4)
+    """The gradient checker's model of arch."""
+    return cli.tiny_instance(arch, seed)[0]
 
 
 def tiny_batch(model: model_mod.ModelGraph, seed: int = 1, n: int = 4) -> data.Batch:

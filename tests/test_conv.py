@@ -21,6 +21,7 @@ from conftest import (
     to_blocks_oracle,
 )
 from qocnn import layers
+from qocnn.layers import LayerSpec
 
 
 def geometry_oracle(d: int, k: int, s: int) -> tuple[int, int, int]:
@@ -276,7 +277,9 @@ class TestConvForward:
         kernel = random_complex(rng, (2, 2))
         with pytest.raises(ValueError, match="expects input"):
             layers.layer_forward(
-                layers.conv_spec(8, 2, 2), {"K": kernel}, random_complex(rng, (1, 9))
+                LayerSpec("quantum_conv", 8, 8, k=2, s=2),
+                {"K": kernel},
+                random_complex(rng, (1, 9)),
             )
 
 
@@ -509,8 +512,16 @@ class TestSkippedInputGradient:
         for d, k, s in [*all_cases(), (392, 4, 2)]:
             x = random_complex(rng, (3, d))
             cases = (
-                (layers.conv_spec(d, k, s), {"K": random_complex(rng, (k, k))}, d),
-                (layers.linear_spec(d, k), {"M": random_complex(rng, (d, k))}, k),
+                (
+                    LayerSpec("quantum_conv", d, d, k=k, s=s),
+                    {"K": random_complex(rng, (k, k))},
+                    d,
+                ),
+                (
+                    LayerSpec("complex_linear", d, k),
+                    {"M": random_complex(rng, (d, k))},
+                    k,
+                ),
             )
             for spec, params, out_dim in cases:
                 g = random_complex(rng, (3, out_dim))
@@ -524,7 +535,7 @@ class TestSkippedInputGradient:
 
     def test_flag_is_keyword_only(self):
         rng = np.random.default_rng(15)
-        spec = layers.linear_spec(4, 2)
+        spec = LayerSpec("complex_linear", 4, 2)
         params = {"M": random_complex(rng, (4, 2))}
         _, node = layers.layer_forward(spec, params, random_complex(rng, (1, 4)))
         with pytest.raises(TypeError):

@@ -78,7 +78,7 @@ class TestComplexLinear:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="3"):
             layer_forward(
-                layers.linear_spec(4, 5),
+                LayerSpec("complex_linear", 4, 5),
                 {"M": random_complex(rng, (4, 5))},
                 random_complex(rng, (2, 3)),
             )
@@ -554,7 +554,7 @@ class TestLayerSpecValidation:
         pool checks must stay arithmetic, valid spec or not."""
         n = 2**31 - 1
         builds = [
-            lambda: layers.conv_spec(n, 4, 2),
+            lambda: LayerSpec("quantum_conv", n, n, k=4, s=2),
             lambda: LayerSpec("quantum_conv", n, n, k=n + 1, s=2),
             lambda: layers.pool_spec(n, 2, 2),
             lambda: LayerSpec("split_max_pool", n, n, w=2, p=2),
@@ -591,10 +591,14 @@ class TestDispatch:
         x = random_complex(rng, (2, 8))
         m = random_complex(rng, (8, 5))
         cases = [
-            (layers.linear_spec(8, 5), {"M": m}, layers.complex_linear_forward(x, m)),
-            (layers.sinusoid_spec(8, 0.2), {}, layers.sinusoid_forward(x, 0.2)),
-            (layers.mod_softplus_spec(8), {}, layers.mod_softplus_forward(x)),
-            (layers.mod_squared_spec(8), {}, layers.mod_squared_forward(x)),
+            (
+                LayerSpec("complex_linear", 8, 5),
+                {"M": m},
+                layers.complex_linear_forward(x, m),
+            ),
+            (LayerSpec("sinusoid", 8, 8, lam=0.2), {}, layers.sinusoid_forward(x, 0.2)),
+            (LayerSpec("mod_softplus", 8, 8), {}, layers.mod_softplus_forward(x)),
+            (LayerSpec("mod_squared", 8, 8), {}, layers.mod_squared_forward(x)),
             (layers.pool_spec(8, 2, 2), {}, layers.split_max_pool_forward(x, 2, 2)),
         ]
         for spec, params, (expected, expected_cache) in cases:
@@ -605,23 +609,25 @@ class TestDispatch:
                 np.testing.assert_array_equal(got, want)
         k = random_complex(rng, (2, 2))
         plan = layers.build_conv_plan(k, 8, 2, 2)
-        y, _ = layer_forward(layers.conv_spec(8, 2, 2), {"K": k}, x)
+        y, _ = layer_forward(LayerSpec("quantum_conv", 8, 8, k=2, s=2), {"K": k}, x)
         np.testing.assert_allclose(y, layers.conv_forward(x, plan)[0], atol=1e-14)
         v = rng.normal(size=(2, 8))
-        y, _ = layer_forward(layers.log_softmax_spec(8), {}, v)
+        y, _ = layer_forward(LayerSpec("log_softmax", 8, 8), {}, v)
         np.testing.assert_allclose(y, layers.log_softmax(v), atol=1e-14)
 
     def test_input_width_validated(self):
         rng = np.random.default_rng(20)
         with pytest.raises(ValueError, match="expects input"):
-            layer_forward(layers.sinusoid_spec(4, 0.2), {}, random_complex(rng, (1, 5)))
+            layer_forward(
+                LayerSpec("sinusoid", 4, 4, lam=0.2), {}, random_complex(rng, (1, 5))
+            )
 
     def test_chained_layers_vs_finite_differences(self):
         rng = np.random.default_rng(21)
         x = random_complex(rng, (2, 4))
         m = random_complex(rng, (4, 3))
-        spec1 = layers.linear_spec(4, 3)
-        spec2 = layers.mod_softplus_spec(3)
+        spec1 = LayerSpec("complex_linear", 4, 3)
+        spec2 = LayerSpec("mod_softplus", 3, 3)
         a, b = loss_weights(rng, (2, 3))
 
         def run():

@@ -9,8 +9,8 @@ from qocnn import layers, linalg
 
 
 def svd_product(f: linalg.SvdFactors) -> np.ndarray:
-    """beta * V @ diag(sigma) @ U, with a rectangular diagonal."""
-    diag = np.zeros((f.V.shape[0], f.U.shape[0]))
+    """beta * V @ diag(sigma) @ U over the thin factors."""
+    diag = np.zeros((f.V.shape[1], f.U.shape[0]))
     np.fill_diagonal(diag, f.sigma)
     return f.beta * (f.V @ diag @ f.U)
 
@@ -73,6 +73,14 @@ class TestSvd:
         f = linalg.svd(random_complex(rng, (6, 6)))
         assert np.abs(f.V @ f.V.conj().T - np.eye(6)).max() <= 1e-8
         assert np.abs(f.U @ f.U.conj().T - np.eye(6)).max() <= 1e-8
+
+    def test_tall_column_keeps_a_thin_v(self):
+        """An (n, 1) layer's V is (n, 1), not the n x n of the full SVD."""
+        rng = np.random.default_rng(10)
+        m = random_complex(rng, (5000, 1))
+        f = linalg.svd(m)
+        assert f.V.shape == (5000, 1) and f.U.shape == (1, 1)
+        assert abs(f.beta - np.linalg.norm(m, 2)) <= 1e-12 * f.beta
 
     def test_sigma_sorted_nonincreasing(self):
         rng = np.random.default_rng(8)

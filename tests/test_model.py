@@ -1,50 +1,113 @@
 """Architecture stacks, initialization, and full-model forward/backward."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import FD_TOL, fd_grad, max_rel_err, packed_view, random_complex, tiny_model
 from qocnn import layers, model as model_mod
+from qocnn.layers import LayerSpec
 from qocnn.model import ModelGraph, model_backward, model_forward, new_model
+
+
+def fields(specs: list[LayerSpec]) -> list[tuple]:
+    """All 8 fields of every spec: kind, in_dim, out_dim, lam, k, s, w, p."""
+    return [dataclasses.astuple(spec) for spec in specs]
+
+
+def tail(n: int, h: int, classes: int, nonlinearity: tuple) -> list[tuple]:
+    """complex_linear, nonlinearity, complex_linear, mod_squared, log_softmax."""
+    return [
+        ("complex_linear", n, h, None, None, None, None, None),
+        nonlinearity,
+        ("complex_linear", h, classes, None, None, None, None, None),
+        ("mod_squared", classes, classes, None, None, None, None, None),
+        ("log_softmax", classes, classes, None, None, None, None, None),
+    ]
+
+
+def softplus(h: int) -> tuple:
+    return ("mod_softplus", h, h, None, None, None, None, None)
+
+
+def sinusoid(h: int, lam: float = 0.2) -> tuple:
+    return ("sinusoid", h, h, lam, None, None, None, None)
+
+
+def conv_pool(d: int, k: int, s: int, out: int) -> list[tuple]:
+    return [
+        ("quantum_conv", d, d, None, k, s, None, None),
+        ("split_max_pool", d, out, None, None, None, 2, 2),
+    ]
+
+
+FRONT = conv_pool(392, 4, 2, 196)  # qocnn's default conv and pool
 
 
 class TestArchitectures:
     def test_onn_stack(self):
-        specs = model_mod.architecture_specs("onn")
-        assert [s.kind for s in specs] == [
-            "complex_linear", "mod_softplus", "complex_linear",
-            "mod_squared", "log_softmax",
+        assert fields(model_mod.architecture_specs("onn")) == [
+            ("complex_linear", 392, 128, None, None, None, None, None),
+            ("mod_softplus", 128, 128, None, None, None, None, None),
+            ("complex_linear", 128, 10, None, None, None, None, None),
+            ("mod_squared", 10, 10, None, None, None, None, None),
+            ("log_softmax", 10, 10, None, None, None, None, None),
         ]
-        assert specs[0].in_dim == 392 and specs[0].out_dim == 128
-        assert specs[2].out_dim == 10
 
     def test_qonn_stack(self):
-        specs = model_mod.architecture_specs("qonn")
-        assert [s.kind for s in specs] == [
-            "complex_linear", "sinusoid", "complex_linear",
-            "mod_squared", "log_softmax",
+        assert fields(model_mod.architecture_specs("qonn")) == [
+            ("complex_linear", 392, 128, None, None, None, None, None),
+            ("sinusoid", 128, 128, 0.2, None, None, None, None),
+            ("complex_linear", 128, 10, None, None, None, None, None),
+            ("mod_squared", 10, 10, None, None, None, None, None),
+            ("log_softmax", 10, 10, None, None, None, None, None),
         ]
-        assert specs[1].lam == 0.2
 
     def test_qocnn_stack(self):
-        specs = model_mod.architecture_specs("qocnn")
-        assert [s.kind for s in specs] == [
-            "quantum_conv", "split_max_pool", "complex_linear", "sinusoid",
-            "complex_linear", "mod_squared", "log_softmax",
+        assert fields(model_mod.architecture_specs("qocnn")) == [
+            ("quantum_conv", 392, 392, None, 4, 2, None, None),
+            ("split_max_pool", 392, 196, None, None, None, 2, 2),
+            ("complex_linear", 196, 64, None, None, None, None, None),
+            ("sinusoid", 64, 64, 0.2, None, None, None, None),
+            ("complex_linear", 64, 10, None, None, None, None, None),
+            ("mod_squared", 10, 10, None, None, None, None, None),
+            ("log_softmax", 10, 10, None, None, None, None, None),
         ]
-        conv, pool, lin = specs[0], specs[1], specs[2]
-        assert (conv.in_dim, conv.k, conv.s) == (392, 4, 2)
-        assert (pool.w, pool.p, pool.out_dim) == (2, 2, 196)
-        assert (lin.in_dim, lin.out_dim) == (196, 64)
 
     def test_lambda_override(self):
         specs = model_mod.architecture_specs("qonn", lam=0.5)
         assert specs[1].lam == 0.5
 
+    @pytest.mark.parametrize(
+        "arch, kwargs, expected",
+        [
+            ("onn", {"hidden": 32}, tail(392, 32, 10, softplus(32))),
+            ("qonn", {"hidden": 32}, tail(392, 32, 10, sinusoid(32))),
+            ("qocnn", {"hidden": 32}, FRONT + tail(196, 32, 10, sinusoid(32))),
+            ("onn", {"classes": 3}, tail(392, 128, 3, softplus(128))),
+            ("qonn", {"classes": 3}, tail(392, 128, 3, sinusoid(128))),
+            ("qocnn", {"classes": 3}, FRONT + tail(196, 64, 3, sinusoid(64))),
+            ("onn", {"lam": 0.5}, tail(392, 128, 10, softplus(128))),
+            ("qonn", {"lam": 0.5}, tail(392, 128, 10, sinusoid(128, 0.5))),
+            ("qocnn", {"lam": 0.5}, FRONT + tail(196, 64, 10, sinusoid(64, 0.5))),
+            (
+                "qocnn", {"in_dim": 392, "conv_k": 5, "conv_s": 2},
+                conv_pool(392, 5, 2, 196) + tail(196, 64, 10, sinusoid(64)),
+            ),
+            (
+                "qocnn", {"in_dim": 20, "conv_k": 3, "conv_s": 1},
+                conv_pool(20, 3, 1, 10) + tail(10, 64, 10, sinusoid(64)),
+            ),
+        ],
+    )
+    def test_overrides(self, arch, kwargs, expected):
+        assert fields(model_mod.architecture_specs(arch, **kwargs)) == expected
+
     def test_unknown_architecture(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown architecture 'cnn'$"):
             model_mod.architecture_specs("cnn")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown architecture 'cnn'$"):
             new_model("cnn")
 
 
@@ -84,7 +147,7 @@ class TestInitialization:
 
 class TestModelGraphValidation:
     def test_dim_conformance_enforced(self):
-        specs = [layers.linear_spec(4, 5), layers.mod_squared_spec(6)]
+        specs = [LayerSpec("complex_linear", 4, 5), LayerSpec("mod_squared", 6, 6)]
         with pytest.raises(ValueError, match="layer 1"):
             ModelGraph(
                 arch="onn",
@@ -96,7 +159,7 @@ class TestModelGraphValidation:
         with pytest.raises(ValueError, match="shapes"):
             ModelGraph(
                 arch="onn",
-                specs=[layers.linear_spec(4, 5)],
+                specs=[LayerSpec("complex_linear", 4, 5)],
                 params=[{"M": np.zeros((4, 4), dtype=np.complex128)}],
             )
 

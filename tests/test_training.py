@@ -23,6 +23,7 @@ from conftest import (
 )
 from qocnn import cli, data, layers, model as model_mod, training
 from qocnn.data import Batch, Dataset
+from qocnn.layers import LayerSpec
 from qocnn.model import ModelGraph
 from qocnn.training import (
     AdamOptimizer,
@@ -865,6 +866,26 @@ class TestCheckpoints:
         ):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "layer, field, message",
+        [  # _LAYER fields: kind id, in_dim, out_dim, lam, k, s, w, p
+            (0, 5, r"0 \(quantum_conv\) is invalid: stepsize 9 exceeds input length 8"),
+            (1, 7, r"1 \(split_max_pool\) is invalid: pooling stride 9 exceeds input "
+                   r"length 8"),
+        ],
+        ids=["conv-s", "pool-p"],
+    )
+    def test_a_step_past_the_input_is_invalid(self, tmp_path, layer, field, message):
+        _, blob = self.tiny_qocnn_blob(tmp_path)
+        size = training._LAYER.size
+        at = training._PREAMBLE.size + training._HEADER.size + layer * size
+        values = list(training._LAYER.unpack_from(blob, at))
+        values[field] = 9  # in_dim is 8
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob[:at] + training._LAYER.pack(*values) + blob[at + size :])
+        with pytest.raises(CheckpointError, match=f"^checkpoint layer {message}$"):
+            load_checkpoint(path)
+
     def test_a_version_1_file_still_loads_bitwise(self, tmp_path):
         m, blob = self.tiny_qocnn_blob(tmp_path)
         # version 1: the same layout with version 1 and no trailing CRC32
@@ -895,9 +916,9 @@ class TestCheckpoints:
 class TestGradCheck:
     def test_linear_only_model_is_exact(self):
         specs = [
-            layers.linear_spec(6, 4),
-            layers.mod_squared_spec(4),
-            layers.log_softmax_spec(4),
+            LayerSpec("complex_linear", 6, 4),
+            LayerSpec("mod_squared", 4, 4),
+            LayerSpec("log_softmax", 4, 4),
         ]
         rng = np.random.default_rng(24)
         params = [model_mod.init_layer_params(s, rng) for s in specs]
@@ -921,10 +942,10 @@ class TestGradCheck:
         # identity-weighted linear into a tied pool window: perturbing the
         # diagonal entries resolves the tie differently on each FD side
         specs = [
-            layers.linear_spec(4, 4),
+            LayerSpec("complex_linear", 4, 4),
             layers.pool_spec(4, 2, 2),
-            layers.mod_squared_spec(2),
-            layers.log_softmax_spec(2),
+            LayerSpec("mod_squared", 2, 2),
+            LayerSpec("log_softmax", 2, 2),
         ]
         params = [
             {"M": np.eye(4, dtype=np.complex128)}, {}, {}, {},
