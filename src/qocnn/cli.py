@@ -344,7 +344,7 @@ def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batc
     if arch == "qocnn":
         model = model_mod.new_model(
             arch, seed=seed, in_dim=8, hidden=4, classes=3,
-            conv_k=2, conv_s=2, pool_w=2, pool_p=2,
+            conv_k=3, conv_s=2, pool_w=2, pool_p=2,
         )
     else:
         model = model_mod.new_model(arch, seed=seed, in_dim=8, hidden=6, classes=4)

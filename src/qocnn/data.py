@@ -9,6 +9,7 @@ batch is folded when it is read.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,48 +29,34 @@ class IdxTruncatedError(ValueError):
     """Raised when an IDX payload is shorter or longer than its header claims."""
 
 
-def _check_payload(data: bytes, expected: int, what: str) -> None:
-    if len(data) != expected:
+def _load_idx(data: bytes, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file shaped by its header: a view of
+    `data`, not a copy, so read-only for `bytes`.
+
+    The magic's low byte is the dimension count: 3 for images, 1 for labels.
+    """
+    header = 4 + 4 * (magic & 0xFF)
+    if len(data) < header:
         raise IdxTruncatedError(
-            f"{what}: expected {expected} bytes total, got {len(data)}"
+            f"{what} file: expected at least {header} header bytes, got {len(data)}"
         )
+    got, *dims = struct.unpack(f">{header // 4}I", data[:header])
+    if got != magic:
+        raise IdxFormatError(f"bad {what} magic 0x{got:08x}, expected 0x{magic:08x}")
+    size = header + math.prod(dims)
+    if len(data) != size:
+        raise IdxTruncatedError(f"{what} file: expected {size} bytes total, got {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
 def load_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into a uint8 array of shape (count, rows, cols).
-
-    The result is a view of `data`, not a copy; read-only for `bytes`.
-    """
-    if len(data) < 16:
-        raise IdxTruncatedError(
-            f"image file: expected at least 16 header bytes, got {len(data)}"
-        )
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
-        )
-    _check_payload(data, 16 + count * rows * cols, "image file")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols)
+    """Parse an IDX image file into a uint8 view of `data`, shape (count, rows, cols)."""
+    return _load_idx(data, IMAGE_MAGIC, "image")
 
 
 def load_idx_labels(data: bytes) -> np.ndarray:
-    """Parse an IDX label file into a uint8 array of shape (count,).
-
-    The result is a view of `data`, not a copy; read-only for `bytes`.
-    """
-    if len(data) < 8:
-        raise IdxTruncatedError(
-            f"label file: expected at least 8 header bytes, got {len(data)}"
-        )
-    magic, count = struct.unpack(">II", data[:8])
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}"
-        )
-    _check_payload(data, 8 + count, "label file")
-    labels = np.frombuffer(data, dtype=np.uint8, offset=8)
+    """Parse an IDX label file into a uint8 view of `data`, shape (count,)."""
+    labels = _load_idx(data, LABEL_MAGIC, "label")
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
         raise ValueError(

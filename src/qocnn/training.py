@@ -77,6 +77,14 @@ def backward(model: ModelGraph, tape: LossTape) -> list[dict[str, np.ndarray]]:
 # optimizers
 
 
+def _param_views(model: ModelGraph, grads: list[dict[str, np.ndarray]]):
+    """Each parameter array's float64 view with its gradient's, in model order."""
+    for p, g in zip(model.params, grads):
+        for name, arr in p.items():
+            gv = np.ascontiguousarray(g[name]).view(np.float64)
+            yield arr.view(np.float64).ravel(), gv.ravel()
+
+
 class SgdOptimizer:
     def __init__(self, learning_rate: float):
         if not 0 <= learning_rate < math.inf:
@@ -84,11 +92,8 @@ class SgdOptimizer:
         self.learning_rate = learning_rate
 
     def step(self, model: ModelGraph, grads: list[dict[str, np.ndarray]]) -> None:
-        for p, g in zip(model.params, grads):
-            for name, arr in p.items():
-                arr.view(np.float64)[...] -= (
-                    self.learning_rate * np.ascontiguousarray(g[name]).view(np.float64)
-                )
+        for w, gv in _param_views(model, grads):
+            w -= self.learning_rate * gv
 
 
 class AdamOptimizer:
@@ -106,38 +111,22 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[dict[str, np.ndarray]] | None = None
-        self._v: list[dict[str, np.ndarray]] | None = None
-
-    def _init_state(self, model: ModelGraph) -> None:
-        self._m = [
-            {name: np.zeros(2 * arr.size) for name, arr in p.items()}
-            for p in model.params
-        ]
-        self._v = [
-            {name: np.zeros(2 * arr.size) for name, arr in p.items()}
-            for p in model.params
-        ]
+        self._moments: list[tuple[np.ndarray, np.ndarray]] | None = None  # (m, v)
 
     def step(self, model: ModelGraph, grads: list[dict[str, np.ndarray]]) -> None:
-        if self._m is None:
-            self._init_state(model)
+        if self._moments is None:
+            self._moments = [
+                (np.zeros(w.size), np.zeros(w.size)) for w, _ in _param_views(model, grads)
+            ]
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m_s, v_s in zip(model.params, grads, self._m, self._v):
-            for name, arr in p.items():
-                gv = np.ascontiguousarray(g[name]).view(np.float64).ravel()
-                m = m_s[name]
-                v = v_s[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * gv
-                v *= self.beta2
-                v += (1.0 - self.beta2) * gv**2
-                update = (self.learning_rate * (m / bc1)) / (
-                    np.sqrt(v / bc2) + self.eps
-                )
-                arr.view(np.float64).ravel()[...] -= update
+        for (w, gv), (m, v) in zip(_param_views(model, grads), self._moments):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * gv
+            v *= self.beta2
+            v += (1.0 - self.beta2) * gv**2
+            w -= (self.learning_rate * (m / bc1)) / (np.sqrt(v / bc2) + self.eps)
 
 
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}

@@ -164,8 +164,9 @@ def tiny_batch(model: model_mod.ModelGraph, seed: int = 1, n: int = 4) -> data.B
 
 # ---------------------------------------------------------------------------
 # oracles: the code paths that rebuilt complex arrays as re + 1j*im, before
-# the layers moved to the interleaved float view, and the conv that copied
-# each stage's rows into zero-padded blocks, before the stage buffers.  Each
+# the layers moved to the interleaved float view, the conv that copied
+# each stage's rows into zero-padded blocks, before the stage buffers, and
+# the optimizer steps that walked each layer's parameter dict.  Each
 # in HOT_PATH_ORACLES matches its replacement bit for bit on finite data; the
 # complex-arithmetic conv does not (its sums run in another order) and is
 # checked within 1e-12.
@@ -310,6 +311,37 @@ def model_backward_oracle(model, tape, grad_out):
     return grads
 
 
+def sgd_step_oracle(self, model, grads):
+    """SgdOptimizer.step as a nested loop over each layer's parameter dict."""
+    for p, g in zip(model.params, grads):
+        for name, arr in p.items():
+            arr.view(np.float64)[...] -= (
+                self.learning_rate * np.ascontiguousarray(g[name]).view(np.float64)
+            )
+
+
+def adam_step_oracle(self, model, grads):
+    """AdamOptimizer.step as a nested loop over each layer's parameter dict,
+    with the moments in per-name dicts built on the first step."""
+    if getattr(self, "_m", None) is None:
+        self._m = [{name: np.zeros(2 * arr.size) for name, arr in p.items()} for p in model.params]
+        self._v = [{name: np.zeros(2 * arr.size) for name, arr in p.items()} for p in model.params]
+    self.t += 1
+    bc1 = 1.0 - self.beta1**self.t
+    bc2 = 1.0 - self.beta2**self.t
+    for p, g, m_s, v_s in zip(model.params, grads, self._m, self._v):
+        for name, arr in p.items():
+            gv = np.ascontiguousarray(g[name]).view(np.float64).ravel()
+            m = m_s[name]
+            v = v_s[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * gv
+            v *= self.beta2
+            v += (1.0 - self.beta2) * gv**2
+            update = (self.learning_rate * (m / bc1)) / (np.sqrt(v / bc2) + self.eps)
+            arr.view(np.float64).ravel()[...] -= update
+
+
 # (module, attribute, oracle) for every path the oracles above replace
 HOT_PATH_ORACLES = (
     (layers, "split_max_pool_forward", pool_forward_oracle),
@@ -321,4 +353,5 @@ HOT_PATH_ORACLES = (
     (data, "batch_iter", batch_iter_oracle),
     (training, "predict_log_probs", predict_log_probs_oracle),
     (training, "model_backward", model_backward_oracle),
+    (training.AdamOptimizer, "step", adam_step_oracle),
 )

@@ -33,32 +33,47 @@ class TestIdxParsing:
         _, labels = synthetic_images(12, seed=1)
         np.testing.assert_array_equal(data.load_idx_labels(label_blob(labels)), labels)
 
+    # a 3-image file is 16 + 3 * 784 = 2,368 bytes, its label file 8 + 3 = 11
     def test_bad_image_magic(self):
         imgs, _ = synthetic_images(2, seed=2)
         blob = struct.pack(">IIII", 0x801, 2, 28, 28) + imgs.tobytes()
-        with pytest.raises(IdxFormatError, match="magic"):
+        with pytest.raises(IdxFormatError) as info:
             data.load_idx_images(blob)
+        assert str(info.value) == "bad image magic 0x00000801, expected 0x00000803"
 
     def test_bad_label_magic(self):
-        with pytest.raises(IdxFormatError, match="magic"):
+        with pytest.raises(IdxFormatError) as info:
             data.load_idx_labels(struct.pack(">II", 0x803, 0))
+        assert str(info.value) == "bad label magic 0x00000803, expected 0x00000801"
 
     def test_truncated_image_payload(self):
         imgs, _ = synthetic_images(3, seed=3)
-        blob = image_blob(imgs)[:-5]
-        with pytest.raises(IdxTruncatedError, match="expected"):
-            data.load_idx_images(blob)
+        with pytest.raises(IdxTruncatedError) as info:
+            data.load_idx_images(image_blob(imgs)[:-5])
+        assert str(info.value) == "image file: expected 2368 bytes total, got 2363"
+
+    def test_truncated_label_payload(self):
+        _, labels = synthetic_images(3, seed=3)
+        with pytest.raises(IdxTruncatedError) as info:
+            data.load_idx_labels(label_blob(labels)[:-1])
+        assert str(info.value) == "label file: expected 11 bytes total, got 10"
 
     def test_truncated_header(self):
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(IdxTruncatedError) as info:
             data.load_idx_images(b"\x00\x00")
-        with pytest.raises(IdxTruncatedError):
+        assert str(info.value) == "image file: expected at least 16 header bytes, got 2"
+        with pytest.raises(IdxTruncatedError) as info:
             data.load_idx_labels(b"\x00\x00")
+        assert str(info.value) == "label file: expected at least 8 header bytes, got 2"
 
     def test_oversized_payload_rejected(self):
-        imgs, _ = synthetic_images(2, seed=4)
-        with pytest.raises(IdxTruncatedError, match="expected"):
+        imgs, labels = synthetic_images(3, seed=4)
+        with pytest.raises(IdxTruncatedError) as info:
             data.load_idx_images(image_blob(imgs) + b"\x00")
+        assert str(info.value) == "image file: expected 2368 bytes total, got 2369"
+        with pytest.raises(IdxTruncatedError) as info:
+            data.load_idx_labels(label_blob(labels) + b"\x00")
+        assert str(info.value) == "label file: expected 11 bytes total, got 12"
 
     def test_label_out_of_range_names_index(self):
         labels = np.array([1, 3, 12, 4], dtype=np.uint8)

@@ -17,6 +17,7 @@ from conftest import (
     model_backward_oracle,
     predict_log_probs_oracle,
     random_complex,
+    sgd_step_oracle,
     synthetic_images,
     tiny_batch,
     tiny_model,
@@ -422,6 +423,31 @@ class TestHotPathMatchesOracles:
             except Sentinel:
                 raised.append(arch)
         assert raised
+
+    @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
+    def test_seeded_sgd_run_matches_the_kept_step(self, arch, synth_datasets, monkeypatch):
+        """Three seeded SGD epochs give the same parameter and history bytes
+        with the shared parameter loop as with the kept nested-loop step."""
+        train_ds, test_ds = synth_datasets
+        config = TrainConfig(epochs=3, learning_rate=0.02, optimizer="sgd", seed=9)
+
+        def run():
+            m = model_mod.new_model(arch, seed=4)
+            _, history = training.train(m, train_ds, test_ds, config)
+            params = b"".join(p[name].tobytes() for p in m.params for name in sorted(p))
+            return params, history.rows()
+
+        new = run()
+        calls = []
+
+        def counted(self, model, grads):
+            calls.append(1)
+            sgd_step_oracle(self, model, grads)
+
+        monkeypatch.setattr(training.SgdOptimizer, "step", counted)
+        assert run() == new
+        assert len(calls) == 3 * -(-len(train_ds) // config.batch_size)
+        assert len({row[1] for row in new[1]}) == 3  # every epoch moved the loss
 
 
 class TestBackwardSkipsInputGradient:
@@ -927,6 +953,13 @@ class TestGradCheck:
         report = grad_check(m, b)
         assert report.passed
         assert report.layers[0].max_rel_err < 1e-6
+
+    def test_tiny_conv_composes_two_stages(self):
+        """The checked conv has a second stage, which reads the buffer the
+        first one wrote, so its head clearing is finite-differenced too."""
+        spec = tiny_model("qocnn").specs[0]
+        assert spec.kind == "quantum_conv"
+        assert layers.conv_geometry(spec.in_dim, spec.k, spec.s)[0] >= 2
 
     def test_full_tiny_qocnn(self):
         m = tiny_model("qocnn", seed=26)
