@@ -440,25 +440,11 @@ def cmd_export(eff: dict) -> None:
     for i, (spec, params) in enumerate(zip(model.specs, model.params)):
         record = dataclasses.asdict(spec)  # LayerSpec fields
         where = f"checkpoint layer {i} ({spec.kind}): "
-        if spec.kind == "complex_linear":
-            m = params["M"]
-        elif spec.kind == "quantum_conv":
-            # M_f is formed, so bound it by the data width before allocating
-            if spec.in_dim > data.FOLD:
-                raise Exit(
-                    EXIT_CHECKPOINT,
-                    f"{where}in_dim {spec.in_dim} exceeds the {data.FOLD} inputs "
-                    f"of a folded image",
-                )
-            # the block path applied to I gives M_f = M_1 ... M_n
-            eye = np.eye(spec.in_dim, dtype=np.complex128)
-            m, _ = layers.layer_forward(spec, params, eye)
-        else:
-            m = None
-        if m is not None:
-            with _exits(EXIT_CHECKPOINT, ValueError, prefix=where):  # inf or NaN
+        with _exits(EXIT_CHECKPOINT, ValueError, prefix=where):  # too wide, or inf or NaN
+            m = layers.KINDS[spec.kind].matrix(spec, params)
+            if m is not None:
                 f = linalg.svd(m)
-            record.update(beta=f.beta, sigma_min_over_max=float(f.sigma.min()))
+                record.update(beta=f.beta, sigma_min_over_max=float(f.sigma.min()))
         records.append(record)
     payload = {
         "arch": model.arch,

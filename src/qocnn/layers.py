@@ -23,6 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .data import FOLD
+
 # Complex entries with modulus below this are routed to the zero branch of
 # the modulus-softplus nonlinearity.
 MOD_SOFTPLUS_ZERO_TOL = 1e-12
@@ -469,6 +471,8 @@ class Kind(NamedTuple):
     reads the cache, so the same cache gives the same gradients every time.
     branches(cache) identifies the non-smooth choices of one forward, which
     grad_check compares on the two sides of a finite difference.
+    matrix(spec, params) is the matrix the optical layer realises, or None
+    for a kind that is not a linear map.
     """
 
     check: Callable[[LayerSpec], None]
@@ -476,10 +480,19 @@ class Kind(NamedTuple):
     backward: Callable
     param: Param | None = None
     branches: Callable[[tuple], object] = lambda cache: None
+    matrix: Callable[[LayerSpec, dict], np.ndarray | None] = lambda spec, params: None
 
 
-# forward, backward and branches look their functions up when they run, so
-# a test or a tracer that replaces a module attribute reaches every layer.
+def _conv_matrix(spec: LayerSpec, params: dict[str, np.ndarray]) -> np.ndarray:
+    """M_f = M_1 ... M_n, the block path applied to I.  It is formed, so the
+    width is bounded by the data's before the identity is allocated."""
+    if spec.in_dim > FOLD:
+        raise ValueError(f"in_dim {spec.in_dim} exceeds the {FOLD} inputs of a folded image")
+    return layer_forward(spec, params, np.eye(spec.in_dim, dtype=np.complex128))[0]
+
+
+# forward, backward, branches and matrix look their functions up at call time,
+# so a test or a tracer that replaces a module attribute reaches every layer.
 # The order is the checkpoint's kind id: add kinds at the end.
 KINDS = {
     "complex_linear": Kind(
@@ -488,6 +501,7 @@ KINDS = {
         lambda g, cache, need: complex_linear_backward(g, cache, need_input_grad=need),
         Param("M", lambda spec: (spec.in_dim, spec.out_dim),
               lambda spec: 1.0 / np.sqrt(spec.in_dim)),
+        matrix=lambda spec, params: params["M"],
     ),
     "sinusoid": Kind(
         _check_sinusoid,
@@ -517,6 +531,7 @@ KINDS = {
         ),
         lambda g, cache, need: conv_backward(g, cache, need_input_grad=need),
         Param("K", lambda spec: (spec.k, spec.k), lambda spec: 1.0 / spec.k),
+        matrix=lambda spec, params: _conv_matrix(spec, params),
     ),
     "split_max_pool": Kind(
         _check_pool,

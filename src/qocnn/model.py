@@ -104,14 +104,18 @@ def new_model(arch: str, seed: int = 0, lam: float = DEFAULT_LAM, **kwargs) -> M
 def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     """Run the full stack (an empty model is the identity); returns the
     output and one backward cache per layer.  An error names its layer, and a
-    `NonFiniteError` also the first layer to output inf or NaN on x."""
-    caches = []
+    `NonFiniteError` also the first layer to output inf or NaN on x: the
+    outputs made so far are kept for that, and when all are finite the
+    input itself was not, so the layer's own error goes up unchanged."""
+    caches, outs = [], []
     out = x
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):
         try:
             out, cache = layers.layer_forward(spec, p, out)
         except NonFiniteError as exc:
-            first = first_non_finite_layer(model, x)
+            first = next((j for j, y in enumerate(outs) if not np.isfinite(y).all()), None)
+            if first is None:
+                raise
             raise NonFiniteError(
                 f"layer {first} ({model.specs[first].kind}) is the first to output "
                 f"inf or NaN; layer {i} ({spec.kind}): {exc}"
@@ -119,18 +123,8 @@ def model_forward(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list[tu
         except ValueError as exc:
             raise ValueError(f"layer {i} ({spec.kind}): {exc}") from exc
         caches.append(cache)
+        outs.append(out)
     return out, caches
-
-
-def first_non_finite_layer(model: ModelGraph, x: np.ndarray) -> int | None:
-    """Index of the first layer whose output on x holds inf or NaN, or None.
-    A second pass, so model_forward calls it only after a NonFiniteError."""
-    out = x
-    for i, (spec, p) in enumerate(zip(model.specs, model.params)):
-        out, _ = layers.layer_forward(spec, p, out)
-        if not np.isfinite(out).all():
-            return i
-    return None
 
 
 def model_backward(model: ModelGraph, caches: list, grad_out: np.ndarray) -> list[dict]:

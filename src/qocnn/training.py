@@ -97,19 +97,14 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float):
         if not 0 <= learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._moments: list[tuple[np.ndarray, np.ndarray]] | None = None  # (m, v)
 
@@ -558,8 +553,8 @@ def grad_check(
     grads = backward(model, tape)
 
     def loss_and_sig() -> tuple[float, tuple]:
-        log_probs, caches = model_forward(model, batch.x)
-        return nll_mean(log_probs, batch.labels), _branch_signature(model, caches)
+        loss, moved = forward_loss(model, batch)
+        return loss, _branch_signature(model, moved.caches)
 
     reports = []
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):

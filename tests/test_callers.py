@@ -65,3 +65,44 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_the_project_script_is_read():
     assert script_targets() == {"entrypoint"}
+
+
+def _is_kind(node: ast.expr) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "kind"
+
+
+def _is_string_literal(node: ast.expr) -> bool:
+    """A string constant, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_string_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def kind_comparisons(trees: dict[Path, ast.Module]) -> list[str]:
+    """file:line of each comparison of a `.kind` with a string literal."""
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_kind, operands)) and any(map(_is_string_literal, operands)):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_layers_compares_kind_names():
+    """Each kind's behaviour lives in `layers.KINDS`, so no other module of
+    the package branches on a kind's name."""
+    trees = {p: t for p, t in _trees(PACKAGE).items() if p.name != "layers.py"}
+    assert len(trees) > 5
+    assert kind_comparisons(trees) == []
+
+
+def test_kind_comparisons_are_found():
+    tree = ast.parse(
+        'a = spec.kind == "complex_linear"\n'
+        'b = s.kind in ("quantum_conv", "split_max_pool")\n'
+        'c = spec.kind == other.kind\n'
+        'd = x.name == "quantum_conv"\n'
+    )
+    assert kind_comparisons({Path("m.py"): tree}) == ["m.py:1", "m.py:2"]

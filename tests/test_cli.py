@@ -437,8 +437,11 @@ class TestTrain:
         [
             ("arch = onnx", "config key 'arch': 'onnx' is not one of onn, qonn, qocnn"),
             ("optimizer = adamw", "config key 'optimizer': 'adamw' is not one of sgd, adam"),
+            ("epochs 3", "{cfg}:1: expected key = value"),
+            ("epochs = x", "config key 'epochs': cannot parse 'x' as int"),
+            ("lr = fast", "config key 'lr': cannot parse 'fast' as float"),
         ],
-        ids=["arch", "optimizer"],
+        ids=["arch", "optimizer", "no_equals", "int", "float"],
     )
     def test_config_value_outside_choices_exits_2(
         self, line, error, synth_idx_files, tmp_path, capsys
@@ -450,8 +453,18 @@ class TestTrain:
             capsys,
         )
         assert code == 2
-        assert err == f"error: {error}\n"
+        assert err == f"error: {error.format(cfg=cfg)}\n"
         assert out == ""  # refused before any config line is printed
+
+    def test_missing_config_file_exits_2(self, synth_idx_files, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        code, out, err = run(
+            train_args(synth_idx_files, tmp_path / "out", extra=["--config", str(cfg)]),
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: no such config file: {cfg}\n"
+        assert out == ""
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(

@@ -355,6 +355,15 @@ class TestBlockPathMatchesDense:
             ):
                 assert rel_err(got, want) <= 1e-12, f"{name} (d={d}, k={k}, s={s})"
 
+    def test_kind_matrix_is_m_f(self):
+        """The matrix export reports is the block path applied to I."""
+        rng = np.random.default_rng(12)
+        for d, k, s in [*all_cases(), (392, 4, 2), (20, 5, 2)]:
+            kernel = random_complex(rng, (k, k))
+            spec = LayerSpec("quantum_conv", d, d, k=k, s=s)
+            m_f = layers.KINDS["quantum_conv"].matrix(spec, {"K": kernel})
+            assert rel_err(m_f, dense_m_f(kernel, d, k, s)) <= 1e-12, (d, k, s)
+
 
 class TestRealArithmeticMatchesComplexOracle:
     """The conv in real arithmetic on the float view against the complex

@@ -583,6 +583,27 @@ class TestKindTable:
             "split_max_pool",
         )
 
+    def test_only_the_linear_kinds_have_a_matrix(self):
+        rng = np.random.default_rng(18)
+        m = random_complex(rng, (8, 5))
+        linear = LayerSpec("complex_linear", 8, 5)
+        assert layers.KINDS["complex_linear"].matrix(linear, {"M": m}) is m
+        specs = [
+            LayerSpec("sinusoid", 8, 8, lam=0.2),
+            LayerSpec("mod_softplus", 8, 8),
+            LayerSpec("mod_squared", 8, 8),
+            LayerSpec("log_softmax", 8, 8),
+            layers.pool_spec(8),
+        ]
+        assert [layers.KINDS[s.kind].matrix(s, {}) for s in specs] == [None] * 5
+
+    def test_a_conv_past_a_folded_image_is_refused_before_any_forward(self, monkeypatch):
+        monkeypatch.setattr(layers, "layer_forward", None)  # a call would raise TypeError
+        spec = LayerSpec("quantum_conv", 393, 393, k=4, s=2)
+        with pytest.raises(ValueError) as info:
+            layers.KINDS["quantum_conv"].matrix(spec, {"K": np.ones((4, 4), complex)})
+        assert str(info.value) == "in_dim 393 exceeds the 392 inputs of a folded image"
+
 
 class TestDispatch:
     def test_each_kind_equals_direct_call(self):

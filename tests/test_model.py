@@ -192,20 +192,17 @@ class TestForwardBackward:
         "arch,first", [("onn", "layer 2 (complex_linear)"), ("qocnn", "layer 0 (quantum_conv)")]
     )
     def test_non_finite_forward_names_the_first_layer(self, arch, first, monkeypatch):
-        """The second pass runs on the error path only."""
+        """The error is named from the one forward sweep: each layer runs once."""
         m = new_model(arch, seed=5)
         x = random_complex(np.random.default_rng(6), (4, m.specs[0].in_dim))
-        calls = []
-        real = model_mod.first_non_finite_layer
-        monkeypatch.setattr(
-            model_mod, "first_non_finite_layer",
-            lambda *args: calls.append(args) or real(*args),
-        )
-        model_forward(m, x)
-        assert calls == []
         for p in m.params:
             for arr in p.values():
                 arr *= 1e200
+        calls = []
+        real = layers.layer_forward
+        monkeypatch.setattr(
+            layers, "layer_forward", lambda *args: calls.append(args[0]) or real(*args)
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(layers.NonFiniteError) as info:
                 model_forward(m, x)
@@ -214,7 +211,15 @@ class TestForwardBackward:
             f"{first} is the first to output inf or NaN; layer {last} "
             f"(log_softmax): log_softmax requires finite entries"
         )
-        assert len(calls) == 1
+        assert calls == m.specs
+
+    def test_non_finite_input_to_a_first_log_softmax_raises_its_own_error(self):
+        """No layer output is non-finite, so the layer's error goes up as it is."""
+        m = ModelGraph(arch="onn", specs=[LayerSpec("log_softmax", 3, 3)], params=[{}])
+        x = np.array([[0.0, np.nan, 1.0], [0.0, 1.0, 2.0]])
+        with pytest.raises(layers.NonFiniteError) as info:
+            model_forward(m, x)
+        assert str(info.value) == "log_softmax requires finite entries"
 
     def test_end_to_end_gradients_all_architectures(self):
         rng = np.random.default_rng(4)

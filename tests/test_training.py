@@ -374,6 +374,64 @@ class TestTrainLoop:
         assert s1 != training.epoch_seed(1, 1)
 
 
+class TestProtocol:
+    """Early stopping on test loss and the per-epoch shuffle, pinned exactly."""
+
+    @pytest.mark.parametrize(
+        "patience,losses,stop",
+        [
+            (1, [2.0, 2.0, 1.0, 0.5], 2),
+            # a tie within 1e-12 is no improvement, a step past it resets the count
+            (2, [2.0, 2.0 - 1e-13, 2.0 - 3e-12, 2.0 - 3e-12, 2.0 - 3e-12, 1.0], 5),
+            (3, [2.0, 1.5, 1.5, 1.5, 1.5, 1.0], 5),
+            (3, [2.0, 2.0, 2.0, 1.0, 1.0 + 1e-13, 1.0, 1.0, 0.5], 7),
+            (2, [2.0, 1.5, 1.0, 0.5, 0.25, 0.125], None),
+        ],
+        ids=["p1-flat", "p2-tie-then-step", "p3-flat", "p3-reset", "p2-never"],
+    )
+    def test_early_stop_epoch_and_log_line(self, patience, losses, stop, monkeypatch):
+        scripted = iter(losses)
+        monkeypatch.setattr(
+            training, "evaluate_loss_accuracy", lambda model, ds: (next(scripted), 0.5)
+        )
+        train_ds, test_ds = small_datasets(n_train=32, n_test=8)
+        cfg = TrainConfig(epochs=len(losses), batch_size=32, patience=patience)
+        lines = []
+        _, h = train(small_qonn(), train_ds, test_ds, cfg, log=lines.append)
+        ran = stop or len(losses)
+        assert h.epochs == list(range(1, ran + 1))
+        assert h.test_loss == losses[:ran]
+        early = [line for line in lines if line.startswith("early stop")]
+        if stop is None:
+            assert early == []
+        else:
+            assert early == [
+                f"early stop at epoch {stop}: test loss flat for {patience} epochs"
+            ]
+            assert lines[-1] == early[0]
+
+    def test_each_epoch_feeds_the_rows_in_its_own_seeded_order(self, monkeypatch):
+        n, seed = 96, 11
+        imgs, labels = synthetic_images(n, seed=20)
+        imgs[:, 0, 0] = np.arange(n)  # the row index, read back from x[:, 0].real
+        train_ds = Dataset.from_arrays(imgs, labels, "train")
+        test_ds = Dataset.from_arrays(imgs[:8], labels[:8], "test")
+        fed = []
+        real = training.forward_loss
+
+        def recording(model, batch):
+            fed.append(np.rint(batch.x[:, 0].real * 255).astype(int))
+            return real(model, batch)
+
+        monkeypatch.setattr(training, "forward_loss", recording)
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=seed)
+        train(small_qonn(), train_ds, test_ds, cfg)
+        assert len(fed) == 6
+        for e in (1, 2):
+            expected = np.random.default_rng(training.epoch_seed(seed, e)).permutation(n)
+            np.testing.assert_array_equal(np.concatenate(fed[3 * e - 3 : 3 * e]), expected)
+
+
 class TestHotPathMatchesOracles:
     @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
     def test_seeded_epoch_matches_complex_rebuild_oracles(
