@@ -452,12 +452,11 @@ def _check_pool(spec: LayerSpec) -> None:
 
 
 class Param(NamedTuple):
-    """The one trainable complex array of a kind: its name, and its shape and
-    the bound of its uniform init as functions of the spec."""
+    """The one trainable complex array of a kind: its name, and its shape as a
+    function of the spec.  Each kind applies it as rows @ P: axis 0 is the fan-in."""
 
     name: str
     shape: Callable[[LayerSpec], tuple[int, ...]]
-    bound: Callable[[LayerSpec], float]
 
 
 class Kind(NamedTuple):
@@ -499,8 +498,7 @@ KINDS = {
         lambda spec: None,
         lambda spec, params, x: complex_linear_forward(x, params["M"]),
         lambda g, cache, need: complex_linear_backward(g, cache, need_input_grad=need),
-        Param("M", lambda spec: (spec.in_dim, spec.out_dim),
-              lambda spec: 1.0 / np.sqrt(spec.in_dim)),
+        Param("M", lambda spec: (spec.in_dim, spec.out_dim)),
         matrix=lambda spec, params: params["M"],
     ),
     "sinusoid": Kind(
@@ -530,7 +528,7 @@ KINDS = {
             x, build_conv_plan(params["K"], spec.in_dim, spec.k, spec.s)
         ),
         lambda g, cache, need: conv_backward(g, cache, need_input_grad=need),
-        Param("K", lambda spec: (spec.k, spec.k), lambda spec: 1.0 / spec.k),
+        Param("K", lambda spec: (spec.k, spec.k)),
         matrix=lambda spec, params: _conv_matrix(spec, params),
     ),
     "split_max_pool": Kind(
@@ -550,11 +548,12 @@ def param_shapes(spec: LayerSpec) -> dict[str, tuple[int, ...]]:
 
 
 def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform init scaled by fan-in; re and im drawn independently."""
+    """Re and im drawn independently, uniform within 1/sqrt(fan-in)."""
     param = KINDS[spec.kind].param
     if param is None:
         return {}
-    b, shape = param.bound(spec), param.shape(spec)
+    shape = param.shape(spec)
+    b = 1.0 / np.sqrt(shape[0])
     return {param.name: rng.uniform(-b, b, shape) + 1j * rng.uniform(-b, b, shape)}
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers
+from . import data, layers
 from .layers import LayerSpec, NonFiniteError, init_layer_params, param_shapes
 
 ARCHITECTURES = ("onn", "qonn", "qocnn")
@@ -60,7 +60,7 @@ class ModelGraph:
 
 def architecture_specs(
     arch: str,
-    in_dim: int = 392,
+    in_dim: int = data.FOLD,
     hidden: int | None = None,
     classes: int = 10,
     lam: float = DEFAULT_LAM,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MNIST_INPUT_QUBITS = 392
+from .data import FOLD
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def qubit_estimate(w: WorkloadSpec) -> int:
 
 def input_qubits_mnist() -> int:
     """Qubits to hold one folded 28x28 image, one per complex mode."""
-    return MNIST_INPUT_QUBITS
+    return FOLD
 
 
 def estimate(w: WorkloadSpec) -> ResourceReport:

@@ -5,8 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import FD_TOL, fd_grad, max_rel_err, packed_view, random_complex, tiny_model
+from conftest import (
+    FD_TOL,
+    fd_grad,
+    max_rel_err,
+    packed_view,
+    random_complex,
+    synthetic_images,
+    tiny_model,
+)
 from qocnn import layers, model as model_mod
+from qocnn.data import Dataset
 from qocnn.layers import LayerSpec
 from qocnn.model import ModelGraph, model_backward, model_forward, new_model
 
@@ -122,10 +131,44 @@ class TestInitialization:
         assert np.abs(w.real).max() > 0.9 * bound
 
     def test_conv_kernel_bounds(self):
+        # K's fan-in is k: each conv stage applies it as block @ K
         m = new_model("qocnn", seed=4)
         k = m.params[0]["K"]
+        bound = 1.0 / np.sqrt(4)
         assert k.shape == (4, 4)
-        assert np.abs(k.real).max() <= 0.25 and np.abs(k.imag).max() <= 0.25
+        assert np.abs(k.real).max() <= bound and np.abs(k.imag).max() <= bound
+        assert np.abs(k.real).max() > 0.9 * bound
+
+    @pytest.mark.parametrize("arch", ["onn", "qonn"])
+    def test_linear_stacks_keep_their_draw(self, arch):
+        """Every M is drawn within 1/sqrt(in_dim), re then im, in layer order."""
+        m = new_model(arch, seed=5)
+        rng = np.random.default_rng(5)
+        for spec, p in zip(m.specs, m.params):
+            if spec.kind != "complex_linear":
+                assert p == {}
+                continue
+            b = 1.0 / np.sqrt(spec.in_dim)
+            shape = (spec.in_dim, spec.out_dim)
+            expected = rng.uniform(-b, b, shape) + 1j * rng.uniform(-b, b, shape)
+            assert p["M"].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_qocnn_signal_survives_its_init(self, seed):
+        """The conv keeps enough of the input that a fresh qocnn's output is
+        within two decades of qonn's, not stuck near uniform."""
+        imgs, labels = synthetic_images(2000, seed=71)
+        x = Dataset.from_arrays(imgs[:64], labels[:64], "train").complex_rows(slice(None))
+
+        def after_mod_squared(arch: str) -> float:
+            m = new_model(arch, seed=seed)
+            out = x
+            for spec, p in zip(m.specs, m.params):
+                out, _ = layers.layer_forward(spec, p, out)
+                if spec.kind == "mod_squared":
+                    return float(np.abs(out).max())
+
+        assert after_mod_squared("qocnn") >= 1e-2 * after_mod_squared("qonn")
 
     def test_seed_reproducible(self):
         a = new_model("qocnn", seed=7)

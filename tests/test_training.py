@@ -300,6 +300,16 @@ class TestTrainLoop:
         )
         assert final < initial
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_qocnn_learns_from_its_own_init(self, seed):
+        """Two default epochs at conv (k, s) = (5, 2) learn the synthetic
+        task; with a conv kernel that shrinks the signal the output stays
+        near uniform."""
+        train_ds, test_ds = small_datasets(n_train=2000, n_test=1000, seed=71)
+        m = model_mod.new_model("qocnn", seed=seed, conv_k=5, conv_s=2)
+        _, h = train(m, train_ds, test_ds, TrainConfig(epochs=2, seed=seed))
+        assert h.test_accuracy[-1] >= 0.9
+
     def test_early_stop_on_flat_test_loss(self):
         # zero-information data: labels independent of pixels, test loss flat
         rng = np.random.default_rng(3)
