@@ -164,7 +164,7 @@ def effective_config(args) -> dict:
             eff[key] = getattr(args, key)
     if eff.get("seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {eff['seed']}")
-    if eff.get("seed", 0) >= 2**63:  # a checkpoint stores it as a signed 64-bit int
+    if eff.get("seed", 0) >= model_mod.SEED_LIMIT:
         raise ValueError(f"--seed must be < 2**63, got {eff['seed']}")
     return eff
 

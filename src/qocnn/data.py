@@ -21,12 +21,11 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Raised when an IDX header does not match the expected layout."""
+CLASSES = 10  # digits 0..9
 
 
-class IdxTruncatedError(ValueError):
-    """Raised when an IDX payload is shorter or longer than its header claims."""
+class IdxError(ValueError):
+    """An IDX file that is short, long or of the wrong magic."""
 
 
 def _load_idx(data: bytes, magic: int, what: str) -> np.ndarray:
@@ -37,15 +36,15 @@ def _load_idx(data: bytes, magic: int, what: str) -> np.ndarray:
     """
     header = 4 + 4 * (magic & 0xFF)
     if len(data) < header:
-        raise IdxTruncatedError(
+        raise IdxError(
             f"{what} file: expected at least {header} header bytes, got {len(data)}"
         )
     got, *dims = struct.unpack(f">{header // 4}I", data[:header])
     if got != magic:
-        raise IdxFormatError(f"bad {what} magic 0x{got:08x}, expected 0x{magic:08x}")
+        raise IdxError(f"bad {what} magic 0x{got:08x}, expected 0x{magic:08x}")
     size = header + math.prod(dims)
     if len(data) != size:
-        raise IdxTruncatedError(f"{what} file: expected {size} bytes total, got {len(data)}")
+        raise IdxError(f"{what} file: expected {size} bytes total, got {len(data)}")
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
@@ -57,20 +56,12 @@ def load_idx_images(data: bytes) -> np.ndarray:
 def load_idx_labels(data: bytes) -> np.ndarray:
     """Parse an IDX label file into a uint8 view of `data`, shape (count,)."""
     labels = _load_idx(data, LABEL_MAGIC, "label")
-    bad = np.nonzero(labels > 9)[0]
+    bad = np.nonzero(labels >= CLASSES)[0]
     if bad.size:
         raise ValueError(
-            f"label value {labels[bad[0]]} at index {bad[0]} out of range 0..9"
+            f"label value {labels[bad[0]]} at index {bad[0]} out of range 0..{CLASSES - 1}"
         )
     return labels
-
-
-def read_idx_images(path: str | Path) -> np.ndarray:
-    return load_idx_images(Path(path).read_bytes())
-
-
-def read_idx_labels(path: str | Path) -> np.ndarray:
-    return load_idx_labels(Path(path).read_bytes())
 
 
 FOLD = 392  # complex entries per image: 14 rows of 28 pixels per half
@@ -145,8 +136,11 @@ class Dataset:
 
     @classmethod
     def load(cls, images_path: str | Path, labels_path: str | Path, split: str) -> "Dataset":
+        """A split from its two IDX files, each read once into `bytes` and viewed."""
         return cls.from_arrays(
-            read_idx_images(images_path), read_idx_labels(labels_path), split
+            load_idx_images(Path(images_path).read_bytes()),
+            load_idx_labels(Path(labels_path).read_bytes()),
+            split,
         )
 
 

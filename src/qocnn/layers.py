@@ -62,7 +62,7 @@ def pooled_len(n: int, w: int, p: int) -> int:
     return (n - w) // p + 1
 
 
-def pool_spec(n: int, w: int = 2, p: int = 2) -> LayerSpec:
+def pool_spec(n: int, w: int, p: int) -> LayerSpec:
     if p < 1:  # pooled_len divides by p before LayerSpec can check it
         raise ValueError(f"pooling stride p must be >= 1, got {p}")
     return LayerSpec("split_max_pool", n, pooled_len(n, w, p), w=w, p=p)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_CLASSES = 10
+from .data import CLASSES
 
 
 @dataclass
@@ -53,7 +53,7 @@ def accuracy(preds, labels) -> float:
     return float((preds == labels).mean())
 
 
-def confusion(preds, labels, n_classes: int = N_CLASSES) -> ConfusionMatrix:
+def confusion(preds, labels, n_classes: int = CLASSES) -> ConfusionMatrix:
     preds = _as_label_array(preds, "preds")
     labels = _as_label_array(labels, "labels")
     if preds.shape[0] != labels.shape[0]:

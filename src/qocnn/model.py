@@ -13,6 +13,8 @@ ARCHITECTURES = ("onn", "qonn", "qocnn")
 
 DEFAULT_LAM = 0.2
 
+SEED_LIMIT = 2**63  # a checkpoint stores the seed as a signed 64-bit int
+
 
 @dataclass
 class ModelGraph:
@@ -32,6 +34,8 @@ class ModelGraph:
     def __post_init__(self) -> None:
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in 0..2**63-1, got {self.seed}")
         if len(self.specs) != len(self.params):
             raise ValueError("one parameter dict required per layer")
         for i in range(1, len(self.specs)):
@@ -62,7 +66,7 @@ def architecture_specs(
     arch: str,
     in_dim: int = data.FOLD,
     hidden: int | None = None,
-    classes: int = 10,
+    classes: int = data.CLASSES,
     lam: float = DEFAULT_LAM,
     conv_k: int = 4,
     conv_s: int = 2,

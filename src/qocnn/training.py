@@ -47,30 +47,20 @@ def nll_mean(log_probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-log_probs[rows, labels].mean())
 
 
-@dataclass
-class LossTape:
-    """Forward record: the layer caches and the loss inputs."""
-
-    caches: list[tuple]
-    log_probs: np.ndarray
-    labels: np.ndarray
-
-
-def forward_loss(model: ModelGraph, batch: Batch) -> tuple[float, LossTape]:
-    """Mean NLL of the batch plus the tape needed for backward."""
+def forward_loss(model: ModelGraph, batch: Batch) -> tuple[float, list[tuple]]:
+    """Mean NLL of the batch plus the layer caches needed for backward."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     log_probs, caches = model_forward(model, batch.x)
-    loss = nll_mean(log_probs, batch.labels)
-    return loss, LossTape(caches, log_probs, batch.labels)
+    return nll_mean(log_probs, batch.labels), caches
 
 
-def backward(model: ModelGraph, tape: LossTape) -> list[dict[str, np.ndarray]]:
+def backward(model: ModelGraph, caches: list[tuple], labels: np.ndarray) -> list[dict]:
     """Gradients of the mean batch NLL for every layer, complex packed."""
-    b, n = tape.log_probs.shape
-    grad = np.zeros((b, n), dtype=np.float64)
-    grad[np.arange(b), tape.labels] = -1.0 / b
-    return model_backward(model, tape.caches, grad)
+    b = len(labels)
+    grad = np.zeros((b, model.out_dim), dtype=np.float64)
+    grad[np.arange(b), labels] = -1.0 / b
+    return model_backward(model, caches, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +86,12 @@ class SgdOptimizer:
             w -= self.learning_rate * gv
 
 
-class AdamOptimizer:
+class AdamOptimizer(SgdOptimizer):
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-
-    def __init__(self, learning_rate: float):
-        if not 0 <= learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and >= 0")
-        self.learning_rate = learning_rate
-        self.t = 0
-        self._moments: list[tuple[np.ndarray, np.ndarray]] | None = None  # (m, v)
+    t = 0  # steps taken; the first step shadows these two on the instance
+    _moments: list[tuple[np.ndarray, np.ndarray]] | None = None  # (m, v)
 
     def step(self, model: ModelGraph, grads: list[dict[str, np.ndarray]]) -> None:
         if self._moments is None:
@@ -306,9 +291,9 @@ def train(
             data.batch_iter(train_ds, config.batch_size, shuffle)
         ):
             with _non_finite_diverges(f"epoch {epoch}, batch {batch_idx}"):
-                loss, tape = forward_loss(model, batch)
+                loss, caches = forward_loss(model, batch)
             _check_divergence(loss, epoch, batch_idx)
-            grads = backward(model, tape)
+            grads = backward(model, caches, batch.labels)
             opt.step(model, grads)
             total += loss * len(batch)
             count += len(batch)
@@ -549,12 +534,12 @@ def grad_check(
             f"model has {model.num_params()} real parameters, grad_check caps "
             f"at {GRAD_CHECK_PARAM_CAP}"
         )
-    _, tape = forward_loss(model, batch)
-    grads = backward(model, tape)
+    _, caches = forward_loss(model, batch)
+    grads = backward(model, caches, batch.labels)
 
     def loss_and_sig() -> tuple[float, tuple]:
         loss, moved = forward_loss(model, batch)
-        return loss, _branch_signature(model, moved.caches)
+        return loss, _branch_signature(model, moved)
 
     reports = []
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):

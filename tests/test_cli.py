@@ -15,10 +15,11 @@ import pytest
 
 from conftest import tiny_model, write_idx_pair
 from qocnn import cli, data, fileio, layers, metrics, model as model_mod, training
-from qocnn import __main__ as qocnn_main
+from qocnn import __main__ as qocnn_main, blas_threads
 from qocnn.__main__ import BLAS_VARS
 from test_conv import dense_m_f
 from test_metrics import roc_by_threshold_loop, roc_vertex_oracle
+from test_training import negative_seed_checkpoint
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -564,9 +565,7 @@ class TestEvaluate:
         confusion = (tmp_path / "confusion.csv").read_text().strip().splitlines()
         assert len(confusion) == 11
         # row sums equal the per-class label counts of the test set
-        from qocnn import data
-
-        labels = data.read_idx_labels(synth_idx_files["test_labels"])
+        labels = data.load_idx_labels(Path(synth_idx_files["test_labels"]).read_bytes())
         for t in range(10):
             row_sum = sum(int(v) for v in confusion[t + 1].split(",")[1:])
             assert row_sum == int((labels == t).sum())
@@ -622,6 +621,16 @@ class TestEvaluate:
         args = evaluate_args(synth_idx_files, bad, tmp_path / "out")
         code, out, err = run(args, capsys)
         assert (code, out, err) == (4, "", KIND_FLIP_ERROR)
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_checkpoint_exits_4(self, synth_idx_files, tmp_path, capsys):
+        good = tmp_path / "good.ckpt"
+        training.save_checkpoint(tiny_model("onn"), good)
+        bad = tmp_path / "negative-seed.ckpt"
+        bad.write_bytes(negative_seed_checkpoint(good.read_bytes()))
+        code, out, err = run(evaluate_args(synth_idx_files, bad, tmp_path / "out"), capsys)
+        assert (code, out) == (4, "")
+        assert err == "error: checkpoint model is invalid: seed must lie in 0..2**63-1, got -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_relabelled_checkpoint_exits_4(self, synth_idx_files, trained_run, tmp_path, capsys):
@@ -996,6 +1005,16 @@ class TestExport:
         )
         assert not out_path.exists()
 
+    def test_negative_seed_checkpoint_exits_4(self, synth_idx_files, tmp_path, capsys):
+        good = tmp_path / "good.ckpt"
+        training.save_checkpoint(tiny_model("onn"), good)
+        bad = tmp_path / "negative-seed.ckpt"
+        bad.write_bytes(negative_seed_checkpoint(good.read_bytes()))
+        code, out, err = run(evaluate_args(synth_idx_files, bad, tmp_path / "out"), capsys)
+        assert (code, out) == (4, "")
+        assert err == "error: checkpoint model is invalid: seed must lie in 0..2**63-1, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_relabelled_checkpoint_exits_4(self, trained_run, tmp_path, capsys):
         bad = relabelled_checkpoint(trained_run, tmp_path, "onn")
         out_path = tmp_path / "model.json"
@@ -1096,6 +1115,11 @@ class TestThreadCap:
             for arch in archs:
                 log = (tmp_path / f"{arch}-{cap}" / "run.log").read_text().splitlines()
                 assert f"blas_threads = {cap or 1}" in log
+
+    @pytest.mark.parametrize("raw", ["two", "1.5"])
+    def test_a_cap_that_is_not_a_whole_number_is_one(self, raw, monkeypatch):
+        monkeypatch.setenv("QOCNN_THREADS", raw)
+        assert blas_threads() == "1"
 
     def test_zero_means_default(self, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import synthetic_images, write_idx_pair
 from qocnn import data, metrics, model as model_mod, training
-from qocnn.data import Dataset, IdxFormatError, IdxTruncatedError, batch_iter
+from qocnn.data import Dataset, IdxError, batch_iter
 
 
 def image_blob(images: np.ndarray) -> bytes:
@@ -20,6 +20,16 @@ def image_blob(images: np.ndarray) -> bytes:
 
 def label_blob(labels: np.ndarray) -> bytes:
     return struct.pack(">II", 0x801, labels.shape[0]) + labels.tobytes()
+
+
+def read_images(path) -> np.ndarray:
+    """An image file parsed as `Dataset.load` parses it."""
+    return data.load_idx_images(Path(path).read_bytes())
+
+
+def read_labels(path) -> np.ndarray:
+    """A label file parsed as `Dataset.load` parses it."""
+    return data.load_idx_labels(Path(path).read_bytes())
 
 
 class TestIdxParsing:
@@ -37,41 +47,41 @@ class TestIdxParsing:
     def test_bad_image_magic(self):
         imgs, _ = synthetic_images(2, seed=2)
         blob = struct.pack(">IIII", 0x801, 2, 28, 28) + imgs.tobytes()
-        with pytest.raises(IdxFormatError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_images(blob)
         assert str(info.value) == "bad image magic 0x00000801, expected 0x00000803"
 
     def test_bad_label_magic(self):
-        with pytest.raises(IdxFormatError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_labels(struct.pack(">II", 0x803, 0))
         assert str(info.value) == "bad label magic 0x00000803, expected 0x00000801"
 
     def test_truncated_image_payload(self):
         imgs, _ = synthetic_images(3, seed=3)
-        with pytest.raises(IdxTruncatedError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_images(image_blob(imgs)[:-5])
         assert str(info.value) == "image file: expected 2368 bytes total, got 2363"
 
     def test_truncated_label_payload(self):
         _, labels = synthetic_images(3, seed=3)
-        with pytest.raises(IdxTruncatedError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_labels(label_blob(labels)[:-1])
         assert str(info.value) == "label file: expected 11 bytes total, got 10"
 
     def test_truncated_header(self):
-        with pytest.raises(IdxTruncatedError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_images(b"\x00\x00")
         assert str(info.value) == "image file: expected at least 16 header bytes, got 2"
-        with pytest.raises(IdxTruncatedError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_labels(b"\x00\x00")
         assert str(info.value) == "label file: expected at least 8 header bytes, got 2"
 
     def test_oversized_payload_rejected(self):
         imgs, labels = synthetic_images(3, seed=4)
-        with pytest.raises(IdxTruncatedError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_images(image_blob(imgs) + b"\x00")
         assert str(info.value) == "image file: expected 2368 bytes total, got 2369"
-        with pytest.raises(IdxTruncatedError) as info:
+        with pytest.raises(IdxError) as info:
             data.load_idx_labels(label_blob(labels) + b"\x00")
         assert str(info.value) == "label file: expected 11 bytes total, got 12"
 
@@ -83,8 +93,9 @@ class TestIdxParsing:
     def test_read_from_files(self, tmp_path):
         imgs, labels = synthetic_images(5, seed=5)
         ip, lp = write_idx_pair(tmp_path, imgs, labels, "train")
-        np.testing.assert_array_equal(data.read_idx_images(ip), imgs)
-        np.testing.assert_array_equal(data.read_idx_labels(lp), labels)
+        ds = Dataset.load(ip, lp, "train")
+        np.testing.assert_array_equal(ds.pixels, imgs.reshape(5, 784))
+        np.testing.assert_array_equal(ds.labels, labels)
 
 
 def dataset_load_oracle(images_path, labels_path, split: str) -> Dataset:
@@ -126,27 +137,27 @@ class TestReadOnce:
     def test_a_pipe_is_read_to_its_end(self):
         """Process substitution (`<(gunzip -c ...)`) hands over a pipe, whose size is 0."""
         imgs, labels = synthetic_images(3, seed=19)
-        for blob, read, want in (
-            (image_blob(imgs), data.read_idx_images, imgs),
-            (label_blob(labels), data.read_idx_labels, labels),
-        ):
-            r, w = os.pipe()
-            try:
+        pipes = [os.pipe(), os.pipe()]
+        try:
+            for (_, w), blob in zip(pipes, (image_blob(imgs), label_blob(labels))):
                 with open(w, "wb") as writer:  # a few KB: fits the pipe's buffer
                     writer.write(blob)
-                np.testing.assert_array_equal(read(f"/dev/fd/{r}"), want)
-            finally:
+            ds = Dataset.load(*(f"/dev/fd/{r}" for r, _ in pipes), "test")
+        finally:
+            for r, _ in pipes:
                 os.close(r)
+        np.testing.assert_array_equal(ds.pixels, imgs.reshape(3, 784))
+        np.testing.assert_array_equal(ds.labels, labels)
 
     def test_file_shorter_than_its_header_names_both_sizes(self, tmp_path):
         imgs, _ = synthetic_images(3, seed=16)
         path = tmp_path / "short-images-idx3-ubyte"
         path.write_bytes(struct.pack(">IIII", 0x803, 5, 28, 28) + imgs.tobytes())
         with pytest.raises(
-            IdxTruncatedError,
+            IdxError,
             match=f"expected {16 + 5 * 784} bytes total, got {16 + 3 * 784}$",
         ):
-            data.read_idx_images(path)
+            read_images(path)
 
     def test_dataset_parsed_from_bytes_folds_and_batches(self):
         imgs, labels = synthetic_images(50, seed=17)
@@ -169,10 +180,8 @@ class TestIdxCorruption:
     """Every truncation and single-bit flip of a 3-image file, read from disk.
 
     IDX carries no checksum, so a flipped payload bit loads; every other
-    corruption must raise one of the module's documented errors.
+    corruption must raise the module's `IdxError`.
     """
-
-    IDX_ERRORS = (IdxTruncatedError, IdxFormatError)
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -188,23 +197,23 @@ class TestIdxCorruption:
 
     def test_every_truncated_prefix_raises(self, files):
         _, _, ip, lp = files
-        for path, read in ((ip, data.read_idx_images), (lp, data.read_idx_labels)):
+        for path, read in ((ip, read_images), (lp, read_labels)):
             for n in range(path.stat().st_size - 1, -1, -1):
                 os.truncate(path, n)
-                with pytest.raises(self.IDX_ERRORS):
+                with pytest.raises(IdxError):
                     read(path)
 
     def test_every_header_bit_flip_raises(self, files, tmp_path):
         _, _, ip, lp = files
         bad = tmp_path / "bad"
         for path, read, header in (
-            (ip, data.read_idx_images, 16),
-            (lp, data.read_idx_labels, 8),
+            (ip, read_images, 16),
+            (lp, read_labels, 8),
         ):
             blob = path.read_bytes()
             for bit in range(8 * header):
                 bad.write_bytes(self.flipped(blob, bit))
-                with pytest.raises(self.IDX_ERRORS):
+                with pytest.raises(IdxError):
                     read(bad)
 
     def test_a_payload_bit_flip_changes_only_its_pixel(self, files, tmp_path):
@@ -219,7 +228,7 @@ class TestIdxCorruption:
             buf[byte] ^= 1 << mask
             if mask == byte % 8:
                 bad.write_bytes(buf)
-                got = data.read_idx_images(bad).reshape(-1)
+                got = read_images(bad).reshape(-1)
             else:
                 got = data.load_idx_images(buf).reshape(-1)
             assert np.flatnonzero(got != flat).tolist() == [byte - 16]
@@ -239,10 +248,10 @@ class TestIdxCorruption:
                 with pytest.raises(
                     ValueError, match=f"^label value {value} at index {i} out of range 0..9$"
                 ):
-                    data.read_idx_labels(bad)
+                    read_labels(bad)
                 rejected += 1
             else:
-                got = data.read_idx_labels(bad)
+                got = read_labels(bad)
                 assert np.flatnonzero(got != labels).tolist() == [i]
                 loaded += 1
         assert loaded and rejected
@@ -336,6 +345,15 @@ class TestDataset:
                 labels=np.zeros(1, dtype=np.int64),
                 split="validation",
             )
+
+    def test_labels_of_another_length_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Dataset(
+                pixels=np.zeros((2, 784), dtype=np.uint8),
+                labels=np.zeros(3, dtype=np.int64),
+                split="train",
+            )
+        assert str(info.value) == "labels must have one entry per item"
 
     def test_count_mismatch_rejected(self):
         imgs, _ = synthetic_images(4, seed=9)

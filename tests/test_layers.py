@@ -593,7 +593,7 @@ class TestKindTable:
             LayerSpec("mod_softplus", 8, 8),
             LayerSpec("mod_squared", 8, 8),
             LayerSpec("log_softmax", 8, 8),
-            layers.pool_spec(8),
+            layers.pool_spec(8, 2, 2),
         ]
         assert [layers.KINDS[s.kind].matrix(s, {}) for s in specs] == [None] * 5
 
@@ -606,6 +606,12 @@ class TestKindTable:
 
 
 class TestDispatch:
+    def test_a_kind_without_a_parameter_skips_its_backward_on_request(self):
+        spec = LayerSpec("sinusoid", 2, 2, lam=0.2)
+        _, cache = layer_forward(spec, {}, np.ones((1, 2), dtype=np.complex128))
+        g = np.ones((1, 2), dtype=np.complex128)
+        assert layer_backward(spec, cache, g, need_input_grad=False) == (None, {})
+
     def test_each_kind_equals_direct_call(self):
         """The output and the cache are the kind's own function's."""
         rng = np.random.default_rng(17)

@@ -43,8 +43,23 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy([], [])
 
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(ValueError) as info:
+            accuracy([1, 2], [[1], [2]])
+        assert str(info.value) == "labels must be one-dimensional"
+
 
 class TestConfusion:
+    def test_length_mismatch_names_both_lengths(self):
+        with pytest.raises(ValueError) as info:
+            confusion([1, 2], [1, 2, 3])
+        assert str(info.value) == "length mismatch: 2 predictions vs 3 labels"
+
+    def test_a_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix(np.zeros((2, 3), dtype=np.int64))
+        assert str(info.value) == "confusion matrix must be square, got (2, 3)"
+
     def test_perfect_predictions_are_diagonal(self):
         labels = np.repeat(np.arange(10), 3)
         cm = confusion(labels, labels)
@@ -104,6 +119,12 @@ class TestConfusion:
 
 
 class TestBinaryCounts:
+    @pytest.mark.parametrize("c", [-1, 10])
+    def test_class_out_of_range(self, c):
+        with pytest.raises(ValueError) as info:
+            binary_counts(ConfusionMatrix(np.eye(10, dtype=np.int64)), c)
+        assert str(info.value) == f"class {c} out of range 0..9"
+
     def test_diagonal_has_no_errors(self):
         cm = ConfusionMatrix(np.diag(np.arange(1, 11)))
         for c in range(10):
@@ -274,6 +295,17 @@ def on_segment(a, b, p) -> bool:
 
 
 class TestRocCurve:
+    def test_scores_that_do_not_match_the_labels_rejected(self):
+        with pytest.raises(ValueError) as info:
+            roc_curve(np.zeros((3, 2)), [0, 1], 0)
+        assert str(info.value) == "scores of shape (3, 2) do not match 2 labels"
+
+    @pytest.mark.parametrize("c", [-1, 2])
+    def test_class_out_of_range(self, c):
+        with pytest.raises(ValueError) as info:
+            roc_curve(np.zeros((2, 2)), [0, 1], c)
+        assert str(info.value) == f"class {c} out of range 0..1"
+
     def test_matches_loop_oracle_bitwise(self):
         for scores, labels in roc_trials():
             for c in range(10):

@@ -189,6 +189,16 @@ class TestInitialization:
 
 
 class TestModelGraphValidation:
+    def test_unknown_architecture_rejected(self):
+        with pytest.raises(ValueError) as info:
+            ModelGraph(arch="cnn", specs=[], params=[])
+        assert str(info.value) == "unknown architecture 'cnn'"
+
+    def test_one_parameter_dict_per_layer(self):
+        with pytest.raises(ValueError) as info:
+            ModelGraph(arch="onn", specs=[LayerSpec("mod_squared", 2, 2)], params=[])
+        assert str(info.value) == "one parameter dict required per layer"
+
     def test_dim_conformance_enforced(self):
         specs = [LayerSpec("complex_linear", 4, 5), LayerSpec("mod_squared", 6, 6)]
         with pytest.raises(ValueError, match="layer 1"):
@@ -205,6 +215,18 @@ class TestModelGraphValidation:
                 specs=[LayerSpec("complex_linear", 4, 5)],
                 params=[{"M": np.zeros((4, 4), dtype=np.complex128)}],
             )
+
+    @pytest.mark.parametrize("seed", [-1, model_mod.SEED_LIMIT])
+    def test_a_seed_a_checkpoint_cannot_store_is_refused(self, seed):
+        with pytest.raises(ValueError) as info:
+            ModelGraph(arch="onn", specs=[], params=[], seed=seed)
+        assert str(info.value) == f"seed must lie in 0..2**63-1, got {seed}"
+
+    def test_new_model_refuses_seed_two_to_the_63(self):
+        """2**63 once built and trained, then failed in save_checkpoint's struct.pack."""
+        with pytest.raises(ValueError) as info:
+            new_model("onn", seed=2**63)
+        assert str(info.value) == "seed must lie in 0..2**63-1, got 9223372036854775808"
 
 
 class TestForwardBackward:

@@ -73,6 +73,11 @@ class TestNllLoss:
         with pytest.raises(ValueError, match="label"):
             nll_mean(lp, [-1])
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError) as info:
+            nll_mean(np.zeros((0, 10)), np.zeros(0, dtype=np.int64))
+        assert str(info.value) == "empty batch"
+
     def test_mean_over_batch(self):
         rng = np.random.default_rng(1)
         lp = layers.log_softmax(rng.normal(size=(4, 10)))
@@ -126,7 +131,7 @@ class TestForwardLoss:
         first, tape = forward_loss(m, b)
         for _ in range(50):
             loss, tape = forward_loss(m, b)
-            opt.step(m, backward(m, tape))
+            opt.step(m, backward(m, tape, b.labels))
         final, _ = forward_loss(m, b)
         assert final < first
 
@@ -134,12 +139,12 @@ class TestForwardLoss:
 class TestBackward:
     @pytest.mark.parametrize("arch", model_mod.ARCHITECTURES)
     def test_a_tape_gives_the_same_gradients_twice(self, arch):
-        """No backward writes to a cache, so a tape may be swept again."""
+        """No backward writes to a cache, so one forward's caches may be swept again."""
         m = model_mod.new_model(arch, seed=9)
         batch = Batch(x=random_complex(np.random.default_rng(10), (16, m.specs[0].in_dim)),
                       labels=np.arange(16) % m.out_dim)
         _, tape = forward_loss(m, batch)
-        first, second = backward(m, tape), backward(m, tape)
+        first, second = backward(m, tape, batch.labels), backward(m, tape, batch.labels)
         for p1, p2 in zip(first, second):
             assert p1.keys() == p2.keys()
             for name in p1:
@@ -150,13 +155,13 @@ class TestBackward:
         m = tiny_model("qonn")
         b = tiny_batch(m)
         _, tape = forward_loss(m, b)
-        grads = backward(m, tape)
+        grads = backward(m, tape, b.labels)
         assert grads[0]["M"].any() and grads[2]["M"].any()
         # zero second linear: grad_x = G @ M^H kills the upstream path, and
         # mod_squared has zero slope at zero, so the layer itself gets none
         m.params[2]["M"][...] = 0.0
         _, tape = forward_loss(m, b)
-        grads = backward(m, tape)
+        grads = backward(m, tape, b.labels)
         assert not grads[0]["M"].any()
         assert not grads[2]["M"].any()
 
@@ -168,8 +173,8 @@ class TestBackward:
         )
         _, t1 = forward_loss(m, b1)
         _, t2 = forward_loss(m, b2)
-        g1 = backward(m, t1)
-        g2 = backward(m, t2)
+        g1 = backward(m, t1, b1.labels)
+        g2 = backward(m, t2, b2.labels)
         np.testing.assert_allclose(g1[0]["M"], g2[0]["M"], atol=1e-14)
 
 
@@ -179,7 +184,7 @@ class TestOptimizers:
         before = [p["M"].copy() for p in m.params if "M" in p]
         b = tiny_batch(m, seed=12)
         _, tape = forward_loss(m, b)
-        grads = backward(m, tape)
+        grads = backward(m, tape, b.labels)
         gcopies = [grads[i]["M"].copy() for i in (0, 2)]
         SgdOptimizer(0.1).step(m, grads)
         for prev, g, p in zip(before, gcopies, [m.params[0], m.params[2]]):
@@ -192,7 +197,7 @@ class TestOptimizers:
             b = tiny_batch(m, seed=14)
             for _ in range(3):
                 _, tape = forward_loss(m, b)
-                opt.step(m, backward(m, tape))
+                opt.step(m, backward(m, tape, b.labels))
             for p, s in zip(m.params, snapshot):
                 for name in p:
                     np.testing.assert_array_equal(p[name], s[name])
@@ -219,7 +224,7 @@ class TestOptimizers:
         b = tiny_batch(m, seed=16)
         for t in range(1, 4):
             _, tape = forward_loss(m, b)
-            grads = backward(m, tape)
+            grads = backward(m, tape, b.labels)
             flat = {
                 i: np.concatenate(
                     [
@@ -273,6 +278,17 @@ class TestTrainLoop:
         )
         with pytest.raises(ValueError, match="empty"):
             train(small_qonn(), empty, test_ds, TrainConfig(epochs=1))
+
+    def test_empty_test_split_rejected(self):
+        train_ds, _ = small_datasets()
+        empty = Dataset(
+            pixels=np.zeros((0, 784), dtype=np.uint8),
+            labels=np.zeros(0, dtype=np.int64),
+            split="test",
+        )
+        with pytest.raises(ValueError) as info:
+            train(small_qonn(), train_ds, empty, TrainConfig(epochs=1))
+        assert str(info.value) == "test dataset is empty"
 
     def test_fixed_seed_reproduces_history_bitwise(self):
         train_ds, test_ds = small_datasets()
@@ -531,9 +547,9 @@ class TestBackwardSkipsInputGradient:
     def test_gradients_match_the_full_backward_bitwise(self, arch, monkeypatch):
         m = model_mod.new_model(arch, seed=5)
         batch = self.default_batch(m, 6)
-        grads = backward(m, forward_loss(m, batch)[1])
+        grads = backward(m, forward_loss(m, batch)[1], batch.labels)
         monkeypatch.setattr(training, "model_backward", model_backward_oracle)
-        want = backward(m, forward_loss(m, batch)[1])
+        want = backward(m, forward_loss(m, batch)[1], batch.labels)
         for got_p, want_p in zip(grads, want):
             assert got_p.keys() == want_p.keys()
             for name in got_p:
@@ -564,17 +580,18 @@ class TestBackwardSkipsInputGradient:
             return stage(a, e, plan, i, head)
 
         m = model_mod.new_model(arch, seed=7)
-        _, tape = forward_loss(m, self.default_batch(m, 8))
+        batch = self.default_batch(m, 8)
+        _, tape = forward_loss(m, batch)
         if m.specs[0].kind == "complex_linear":
-            x, m0 = tape.caches[0]
-            tape.caches[0] = (x, m0.view(NoConj))
+            x, m0 = tape[0]
+            tape[0] = (x, m0.view(NoConj))
         monkeypatch.setattr(layers, "layer_backward", spy)
         monkeypatch.setattr(layers, "_stage", record_stage)  # after the forward
-        backward(m, tape)
+        backward(m, tape, batch.labels)
         assert returned[-1] is None
         assert all(g is not None for g in returned[:-1])
         if arch == "qocnn":  # stages n-1 .. 1 map their gradient back, stage 0 not
-            n = tape.caches[0][1].n
+            n = tape[0][1].n
             assert n > 1 and mapped_back == list(range(n - 1, 0, -1))
 
 
@@ -599,7 +616,7 @@ class TestPoolArgmaxOnlyInBackward:
         batch = Batch(x=ds.complex_rows(slice(0, 64)), labels=ds.labels[:64])
         _, tape = forward_loss(m, batch)
         assert calls == []
-        backward(m, tape)
+        backward(m, tape, batch.labels)
         assert len(calls) == 2  # the real and the imaginary half, once each
 
 
@@ -619,6 +636,13 @@ class TestThreadedPredict:
     @staticmethod
     def workers(monkeypatch, n):
         monkeypatch.setattr(training, "_available_cpus", lambda: n)
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert training._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert training._available_cpus() == 1
 
     @pytest.fixture(scope="class")
     def rows_1000(self):
@@ -801,6 +825,13 @@ def checkpoint_bytes_oracle(model: ModelGraph) -> bytes:
             parts.append(np.ascontiguousarray(arr.imag, dtype="<f8").tobytes())
     blob = b"".join(parts)
     return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def negative_seed_checkpoint(blob: bytes) -> bytes:
+    """A version 2 checkpoint with header seed -1 and its CRC32 recomputed."""
+    at = training._PREAMBLE.size + 4  # the seed follows the architecture id
+    payload = blob[:at] + struct.pack("<q", -1) + blob[at + 8 : -4]
+    return payload + struct.pack("<I", zlib.crc32(payload))
 
 
 class TestCheckpoints:
@@ -994,6 +1025,21 @@ class TestCheckpoints:
                 assert pa[name].tobytes() == pb[name].tobytes()
         save_checkpoint(loaded, tmp_path / "v2.ckpt")
         assert (tmp_path / "v2.ckpt").read_bytes() == blob
+
+    def test_the_largest_seed_round_trips(self, tmp_path):
+        m = model_mod.new_model("onn", seed=model_mod.SEED_LIMIT - 1)
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        assert load_checkpoint(tmp_path / "m.ckpt").seed == 2**63 - 1
+
+    def test_a_negative_seed_under_a_matching_crc_is_invalid(self, tmp_path):
+        _, blob = self.tiny_qocnn_blob(tmp_path)
+        path = tmp_path / "negative-seed.ckpt"
+        path.write_bytes(negative_seed_checkpoint(blob))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            "checkpoint model is invalid: seed must lie in 0..2**63-1, got -1"
+        )
 
     def test_trained_model_round_trip(self, tmp_path):
         train_ds, test_ds = small_datasets(n_train=64, n_test=32)
