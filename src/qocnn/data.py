@@ -55,13 +55,7 @@ def load_idx_images(data: bytes) -> np.ndarray:
 
 def load_idx_labels(data: bytes) -> np.ndarray:
     """Parse an IDX label file into a uint8 view of `data`, shape (count,)."""
-    labels = _load_idx(data, LABEL_MAGIC, "label")
-    bad = np.nonzero(labels >= CLASSES)[0]
-    if bad.size:
-        raise ValueError(
-            f"label value {labels[bad[0]]} at index {bad[0]} out of range 0..{CLASSES - 1}"
-        )
-    return labels
+    return _load_idx(data, LABEL_MAGIC, "label")
 
 
 FOLD = 392  # complex entries per image: 14 rows of 28 pixels per half
@@ -81,7 +75,7 @@ class Dataset:
 
     The first 392 bytes of a row are the top 14 image rows (the real part),
     the last 392 the bottom 14 rows (the imaginary part); batches fold on
-    demand through :meth:`complex_rows`.
+    demand through :meth:`complex_rows`.  Each label is one of 0..9, as int64.
     """
 
     pixels: np.ndarray
@@ -95,6 +89,13 @@ class Dataset:
             raise ValueError(f"pixels must have shape (n, 784), got {self.pixels.shape}")
         if self.labels.shape != (self.pixels.shape[0],):
             raise ValueError("labels must have one entry per item")
+        bad = np.flatnonzero(~np.isin(self.labels, range(CLASSES)))
+        if bad.size:
+            raise ValueError(
+                f"label value {self.labels[bad[0]]} at index {bad[0]} "
+                f"out of range 0..{CLASSES - 1}"
+            )
+        self.labels = self.labels.astype(np.int64)
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
@@ -130,7 +131,7 @@ class Dataset:
             )
         return cls(
             pixels=images.reshape(images.shape[0], 2 * FOLD),
-            labels=labels.astype(np.int64),
+            labels=labels,
             split=split,
         )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, fileio, model as model_mod
+from . import data, fileio, metrics, model as model_mod
 from .data import Batch, Dataset
 from .layers import KINDS, LAYER_KINDS, LayerSpec, NonFiniteError, param_shapes
 from .model import ARCHITECTURES, ModelGraph, model_backward, model_forward
@@ -34,29 +34,32 @@ class DivergenceError(RuntimeError):
 # loss
 
 
-def nll_mean(log_probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean NLL over a batch of log-probability rows."""
+def _batch_labels(labels, width: int) -> np.ndarray:
+    """The labels of a non-empty batch scored over `width` classes."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= log_probs.shape[1]:
-        raise ValueError(
-            f"labels must lie in 0..{log_probs.shape[1] - 1}"
-        )
+    if labels.min() < 0 or labels.max() >= width:
+        raise ValueError(f"labels must lie in 0..{width - 1}")
+    return labels
+
+
+def nll_mean(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean NLL over a batch of log-probability rows."""
+    labels = _batch_labels(labels, log_probs.shape[1])
     rows = np.arange(labels.shape[0])
     return float(-log_probs[rows, labels].mean())
 
 
 def forward_loss(model: ModelGraph, batch: Batch) -> tuple[float, list[tuple]]:
     """Mean NLL of the batch plus the layer caches needed for backward."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
     log_probs, caches = model_forward(model, batch.x)
     return nll_mean(log_probs, batch.labels), caches
 
 
 def backward(model: ModelGraph, caches: list[tuple], labels: np.ndarray) -> list[dict]:
     """Gradients of the mean batch NLL for every layer, complex packed."""
+    labels = _batch_labels(labels, model.out_dim)
     b = len(labels)
     grad = np.zeros((b, model.out_dim), dtype=np.float64)
     grad[np.arange(b), labels] = -1.0 / b
@@ -151,16 +154,11 @@ class TrainHistory:
         self.test_loss.append(test)
         self.test_accuracy.append(acc)
 
-    def rows(self) -> list[tuple[int, float, float, float]]:
-        return list(
-            zip(self.epochs, self.train_loss, self.test_loss, self.test_accuracy)
-        )
-
     def to_csv(self) -> str:
-        lines = ["epoch,train_loss,test_loss,test_accuracy"]
-        for e, tr, te, acc in self.rows():
-            lines.append(f"{e},{tr:.10g},{te:.10g},{acc:.10g}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.epochs, self.train_loss, self.test_loss, self.test_accuracy)
+        return "epoch,train_loss,test_loss,test_accuracy\n" + "".join(
+            f"{e},{tr:.10g},{te:.10g},{acc:.10g}\n" for e, tr, te, acc in rows
+        )
 
 
 def epoch_seed(seed: int, epoch: int) -> int:
@@ -243,7 +241,7 @@ def predict_log_probs(model: ModelGraph, ds: Dataset) -> np.ndarray:
 def evaluate_loss_accuracy(model: ModelGraph, ds: Dataset) -> tuple[float, float]:
     log_probs = predict_log_probs(model, ds)
     loss = nll_mean(log_probs, ds.labels)
-    acc = float((log_probs.argmax(axis=1) == ds.labels).mean())
+    acc = metrics.accuracy(log_probs.argmax(axis=1), ds.labels)
     return loss, acc
 
 

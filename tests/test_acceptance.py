@@ -285,7 +285,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path, synth_datasets):
     cfg = TrainConfig(epochs=2, batch_size=32, seed=42)
     m1, h1 = train(new_model("qonn", seed=42, hidden=12), train_ds, test_ds, cfg)
     m2, h2 = train(new_model("qonn", seed=42, hidden=12), train_ds, test_ds, cfg)
-    assert h1.rows() == h2.rows()
+    assert h1 == h2
     for p1, p2 in zip(m1.params, m2.params):
         for name in p1:
             assert p1[name].tobytes() == p2[name].tobytes()

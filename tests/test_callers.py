@@ -106,3 +106,59 @@ def test_kind_comparisons_are_found():
         'd = x.name == "quantum_conv"\n'
     )
     assert kind_comparisons({Path("m.py"): tree}) == ["m.py:1", "m.py:2"]
+
+
+def _is_argmax(node: ast.expr, bound: set[str]) -> bool:
+    """An `argmax` call, or a name assigned one."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        return getattr(f, "attr", getattr(f, "id", None)) == "argmax"
+    return isinstance(node, ast.Name) and node.id in bound
+
+
+def _names_labels(node: ast.expr) -> bool:
+    return any(
+        "label" in (n.id if isinstance(n, ast.Name) else n.attr)
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def argmax_label_comparisons(trees: dict[Path, ast.Module]) -> list[str]:
+    """file:line of each comparison of an argmax result with labels."""
+    found = []
+    for path, tree in trees.items():
+        bound = {
+            t.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and _is_argmax(n.value, set())
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                argmax = [o for o in operands if _is_argmax(o, bound)]
+                if argmax and any(_names_labels(o) for o in operands if o not in argmax):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_metrics_compares_argmax_with_labels():
+    """Accuracy has one path, `metrics.accuracy`, which train's test pass
+    and `qocnn evaluate` both call; no other module counts hits itself."""
+    trees = {p: t for p, t in _trees(PACKAGE).items() if p.name != "metrics.py"}
+    assert len(trees) > 5
+    assert argmax_label_comparisons(trees) == []
+
+
+def test_argmax_label_comparisons_are_found():
+    tree = ast.parse(
+        "a = float((log_probs.argmax(axis=1) == ds.labels).mean())\n"
+        "preds = np.argmax(scores, axis=1)\n"
+        "b = labels != preds\n"
+        "c = preds == other\n"
+        "d = x.argmin(axis=1) == labels\n"
+        "e = metrics.accuracy(p.argmax(axis=1), batch.labels)\n"
+    )
+    assert sorted(argmax_label_comparisons({Path("m.py"): tree})) == ["m.py:1", "m.py:3"]

@@ -242,6 +242,20 @@ class TestTrain:
         assert "arch = qonn" in run_log
         assert "final test accuracy" in out
 
+    def test_run_log_config_lines_are_sorted_by_key(
+        self, synth_idx_files, trained_run, tmp_path, capsys
+    ):
+        """run.log's config block is part of the output contract: `command`,
+        then every key in sorted order, then `blas_threads`."""
+        args = evaluate_args(synth_idx_files, trained_run / "model.ckpt", tmp_path)
+        assert run(args, capsys)[0] == 0
+        for out_dir, command in ((trained_run, "train"), (tmp_path, "evaluate")):
+            lines = (out_dir / "run.log").read_text().splitlines()
+            end = next(i for i, line in enumerate(lines) if line.startswith("blas_threads = "))
+            keys = [line.split(" = ")[0] for line in lines[1:end]]
+            assert lines[0] == f"command = {command}"
+            assert len(keys) >= 5 and keys == sorted(keys)
+
     def test_deterministic_given_seed(self, synth_idx_files, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         extra = ["--epochs", "2", "--seed", "9", "--arch", "qonn"]
@@ -699,6 +713,19 @@ class TestEvaluate:
             f"error: checkpoint incompatible with dataset: --test-labels "
             f"{synth_idx_files['test_labels']} holds label 9; the checkpoint "
             f"scores classes 0..2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_label_equal_to_the_class_count_exits_4(self, tmp_path, capsys, monkeypatch):
+        forbid_predict(monkeypatch)
+        training.save_checkpoint(model_mod.new_model("onn", classes=3), tmp_path / "m.ckpt")
+        split = idx_split(tmp_path, [0, 1, 2, 3] * 4)
+        files = {"test_images": split["images"], "test_labels": split["labels"]}
+        code, out, err = run(evaluate_args(files, tmp_path / "m.ckpt", tmp_path / "out"), capsys)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: checkpoint incompatible with dataset: --test-labels "
+            f"{split['labels']} holds label 3; the checkpoint scores classes 0..2\n"
         )
         assert not (tmp_path / "out").exists()
 

@@ -86,9 +86,14 @@ class TestIdxParsing:
         assert str(info.value) == "label file: expected 11 bytes total, got 12"
 
     def test_label_out_of_range_names_index(self):
+        """The parser takes any byte; the split refuses a label outside 0..9."""
+        imgs, _ = synthetic_images(4, seed=6)
         labels = np.array([1, 3, 12, 4], dtype=np.uint8)
-        with pytest.raises(ValueError, match="index 2"):
-            data.load_idx_labels(label_blob(labels))
+        parsed = data.load_idx_labels(label_blob(labels))
+        np.testing.assert_array_equal(parsed, labels)
+        with pytest.raises(ValueError) as info:
+            Dataset.from_arrays(imgs, parsed, "train")
+        assert str(info.value) == "label value 12 at index 2 out of range 0..9"
 
     def test_read_from_files(self, tmp_path):
         imgs, labels = synthetic_images(5, seed=5)
@@ -236,7 +241,7 @@ class TestIdxCorruption:
             buf[byte] ^= 1 << mask
 
     def test_a_label_bit_flip_loads_or_is_out_of_range(self, files, tmp_path):
-        _, labels, _, lp = files
+        _, labels, ip, lp = files
         blob = lp.read_bytes()
         bad = tmp_path / "bad"
         loaded = rejected = 0
@@ -248,10 +253,10 @@ class TestIdxCorruption:
                 with pytest.raises(
                     ValueError, match=f"^label value {value} at index {i} out of range 0..9$"
                 ):
-                    read_labels(bad)
+                    Dataset.load(ip, bad, "test")
                 rejected += 1
             else:
-                got = read_labels(bad)
+                got = Dataset.load(ip, bad, "test").labels
                 assert np.flatnonzero(got != labels).tolist() == [i]
                 loaded += 1
         assert loaded and rejected

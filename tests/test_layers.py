@@ -201,6 +201,16 @@ class TestModSoftplus:
         y, _ = layers.mod_softplus_forward(np.zeros((1, 3), dtype=np.complex128))
         assert not y.any()
 
+    def test_a_modulus_of_1e9_takes_the_smooth_branch(self):
+        """Only moduli below 1e-12 map to zero: at r = 1e-9 the output's
+        modulus is softplus(r) = log 2 + r/2 + O(r^2), not 0."""
+        x = np.array([[1e-9 + 0j, 6e-10j]])
+        y, cache = layers.mod_softplus_forward(x)
+        assert cache[-1].all()
+        for got, r in zip(y[0], (1e-9, 6e-10)):
+            assert abs(got) == pytest.approx(math.log(2.0) + r / 2, rel=1e-12)
+        np.testing.assert_allclose(np.angle(y), np.angle(x), atol=1e-12)
+
     def test_positive_real_preserves_phase(self):
         x = np.array([[2.0 + 0j]])
         y, _ = layers.mod_softplus_forward(x)

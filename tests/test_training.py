@@ -22,7 +22,7 @@ from conftest import (
     tiny_batch,
     tiny_model,
 )
-from qocnn import cli, data, layers, model as model_mod, training
+from qocnn import cli, data, layers, metrics, model as model_mod, training
 from qocnn.data import Batch, Dataset
 from qocnn.layers import LayerSpec
 from qocnn.model import ModelGraph
@@ -295,7 +295,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=2, batch_size=32, seed=5)
         _, h1 = train(small_qonn(seed=5), train_ds, test_ds, cfg)
         _, h2 = train(small_qonn(seed=5), train_ds, test_ds, cfg)
-        assert h1.rows() == h2.rows()
+        assert h1 == h2
 
     def test_history_lengths_match_epochs_run(self):
         train_ds, test_ds = small_datasets()
@@ -340,8 +340,28 @@ class TestTrainLoop:
     def test_divergence_aborts_with_diagnostic(self):
         train_ds, test_ds = small_datasets()
         cfg = TrainConfig(epochs=2, learning_rate=1e6, optimizer="sgd", seed=4)
-        with pytest.raises(training.DivergenceError, match="epoch"):
+        with pytest.raises(
+            training.DivergenceError,
+            match=r"^training diverged at epoch 1, batch \d+: loss \S+ \(cap 23\.0259\)$",
+        ):
             train(small_qonn(seed=4), train_ds, test_ds, cfg)
+
+    @pytest.mark.parametrize("loss,diverges", [(23.02, False), (23.03, True)])
+    def test_a_loss_past_10_ln_10_diverges(self, loss, diverges, monkeypatch):
+        """The cap is 10 ln 10 = 23.0259, the loss of a true-class probability
+        of 1e-10: a batch loss just under it trains on."""
+        monkeypatch.setattr(training, "nll_mean", lambda log_probs, labels: loss)
+        train_ds, test_ds = small_datasets(n_train=32, n_test=8)
+        cfg = TrainConfig(epochs=1, batch_size=32)
+        if diverges:
+            with pytest.raises(training.DivergenceError) as info:
+                train(small_qonn(), train_ds, test_ds, cfg)
+            assert str(info.value) == (
+                "training diverged at epoch 1, batch 0: loss 23.03 (cap 23.0259)"
+            )
+        else:
+            _, h = train(small_qonn(), train_ds, test_ds, cfg)
+            assert h.train_loss == [loss]
 
     @pytest.mark.parametrize("arch", ["onn", "qocnn"])
     @pytest.mark.parametrize(
@@ -392,6 +412,14 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,test_loss,test_accuracy"
         assert lines[1] == "1,2,1.5,0.25"
         assert len(lines) == 3
+
+    def test_history_csv_keeps_ten_significant_digits(self):
+        h = training.TrainHistory()
+        h.append(3, 1.234567891, 0.1234567891, 0.9876543211)
+        assert h.to_csv() == (
+            "epoch,train_loss,test_loss,test_accuracy\n"
+            "3,1.234567891,0.1234567891,0.9876543211\n"
+        )
 
     def test_epoch_seed_is_stable_and_distinct(self):
         s1 = training.epoch_seed(0, 1)
@@ -457,6 +485,61 @@ class TestProtocol:
             expected = np.random.default_rng(training.epoch_seed(seed, e)).permutation(n)
             np.testing.assert_array_equal(np.concatenate(fed[3 * e - 3 : 3 * e]), expected)
 
+    def test_epoch_seeds_are_pinned(self):
+        """SeedSequence is specified by numpy, so these hold on every host."""
+        pairs = [(0, 1), (0, 2), (1, 1), (7, 3), (2**63 - 1, 10)]
+        assert [training.epoch_seed(s, e) for s, e in pairs] == [
+            3964924996, 3141116543, 1189033389, 3466196061, 2193356003,
+        ]
+
+    def test_first_epoch_row_order_is_pinned(self, monkeypatch):
+        """PCG64's permutation is specified too: seed 5 feeds these 12 rows
+        in this order, in batches of 5, 5 and 2."""
+        imgs, labels = synthetic_images(12, seed=20)
+        imgs[:, 0, 0] = np.arange(12)  # the row index, read back from x[:, 0].real
+        fed = []
+        real = training.forward_loss
+
+        def recording(model, batch):
+            fed.append(np.rint(batch.x[:, 0].real * 255).astype(int).tolist())
+            return real(model, batch)
+
+        monkeypatch.setattr(training, "forward_loss", recording)
+        train_ds = Dataset.from_arrays(imgs, labels, "train")
+        cfg = TrainConfig(epochs=1, batch_size=5, seed=5)
+        train(small_qonn(), train_ds, Dataset.from_arrays(imgs, labels, "test"), cfg)
+        assert fed == [[11, 8, 9, 6, 7], [1, 3, 0, 4, 5], [2, 10]]
+
+    def test_train_loss_weights_each_batch_by_its_rows(self, monkeypatch):
+        seen = []
+        real = training.forward_loss
+
+        def recording(model, batch):
+            loss, caches = real(model, batch)
+            seen.append((loss, len(batch)))
+            return loss, caches
+
+        monkeypatch.setattr(training, "forward_loss", recording)
+        train_ds, test_ds = small_datasets(n_train=40, n_test=8)
+        _, h = train(small_qonn(), train_ds, test_ds, TrainConfig(epochs=1, batch_size=16))
+        assert [rows for _, rows in seen] == [16, 16, 8]
+        assert h.train_loss == [sum(loss * rows for loss, rows in seen) / 40]
+
+    def test_test_accuracy_is_metrics_accuracy_of_predict(self):
+        """On a test split with 24 of 60 labels moved one class on, a model
+        that learned the task scores about 0.6, so a count of the wrong rows
+        or of another argmax reads otherwise."""
+        train_ds, _ = small_datasets(n_train=512, seed=20)
+        imgs, labels = synthetic_images(60, seed=22)
+        labels[:24] = (labels[:24] + 1) % 10
+        test_ds = Dataset.from_arrays(imgs, labels, "test")
+        m = model_mod.new_model("qonn", seed=2)
+        _, h = train(m, train_ds, test_ds, TrainConfig(epochs=2, seed=2))
+        preds = training.predict_log_probs(m, test_ds).argmax(axis=1)
+        assert 0.2 < h.test_accuracy[-1] < 0.9
+        assert h.test_accuracy[-1] == metrics.accuracy(preds, test_ds.labels)
+        assert h.test_accuracy[-1] == np.count_nonzero(preds == labels) / 60
+
 
 class TestHotPathMatchesOracles:
     @pytest.mark.parametrize("arch", ["qocnn", "qonn", "onn"])
@@ -473,7 +556,7 @@ class TestHotPathMatchesOracles:
             _, history = training.train(m, train_ds, test_ds, config)
             params = b"".join(p[name].tobytes() for p in m.params for name in sorted(p))
             log_probs = training.predict_log_probs(m, test_ds)
-            return params, history.rows(), log_probs.tobytes()
+            return params, history, log_probs.tobytes()
 
         new = run()
         for module, attr, oracle in HOT_PATH_ORACLES:
@@ -519,7 +602,7 @@ class TestHotPathMatchesOracles:
             m = model_mod.new_model(arch, seed=4)
             _, history = training.train(m, train_ds, test_ds, config)
             params = b"".join(p[name].tobytes() for p in m.params for name in sorted(p))
-            return params, history.rows()
+            return params, history
 
         new = run()
         calls = []
@@ -531,7 +614,7 @@ class TestHotPathMatchesOracles:
         monkeypatch.setattr(training.SgdOptimizer, "step", counted)
         assert run() == new
         assert len(calls) == 3 * -(-len(train_ds) // config.batch_size)
-        assert len({row[1] for row in new[1]}) == 3  # every epoch moved the loss
+        assert len(set(new[1].train_loss)) == 3  # every epoch moved the loss
 
 
 class TestBackwardSkipsInputGradient:
