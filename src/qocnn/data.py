@@ -1,4 +1,4 @@
-"""MNIST IDX ingestion and fold encoding into 392-entry complex vectors.
+"""MNIST IDX ingestion, class labels, and fold encoding into 392-entry complex vectors.
 
 A 28x28 image folds into 392 complex numbers: pixel (x, y) of the top half
 becomes the real part and pixel (x+14, y) the imaginary part of entry
@@ -22,6 +22,24 @@ LABEL_MAGIC = 0x00000801
 
 
 CLASSES = 10  # digits 0..9
+
+
+def class_labels(values, width: int, what: str) -> np.ndarray:
+    """`values` as a new 1-D int64 array of whole numbers in 0..width-1,
+    whatever the dtype; a bool array holds none."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"{what}s must be one-dimensional")
+    if issubclass(a.dtype.type, np.integer):  # as uint64, a negative lies past width
+        good = a.astype(np.int64, copy=False).view(np.uint64) < width
+    elif issubclass(a.dtype.type, np.floating):
+        good = (a >= 0) & (a < width) & (np.floor(a) == a)
+    else:  # bool, complex, text
+        good = np.zeros(a.shape, dtype=bool)
+    if not good.all():
+        i = int(np.argmin(good))
+        raise ValueError(f"{what} value {a[i]} at index {i} out of range 0..{width - 1}")
+    return a.astype(np.int64)
 
 
 class IdxError(ValueError):
@@ -87,15 +105,9 @@ class Dataset:
             raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
         if self.pixels.ndim != 2 or self.pixels.shape[1] != 2 * FOLD:
             raise ValueError(f"pixels must have shape (n, 784), got {self.pixels.shape}")
-        if self.labels.shape != (self.pixels.shape[0],):
-            raise ValueError("labels must have one entry per item")
-        bad = np.flatnonzero(~np.isin(self.labels, range(CLASSES)))
-        if bad.size:
-            raise ValueError(
-                f"label value {self.labels[bad[0]]} at index {bad[0]} "
-                f"out of range 0..{CLASSES - 1}"
-            )
-        self.labels = self.labels.astype(np.int64)
+        self.labels = class_labels(self.labels, CLASSES, "label")
+        if self.labels.shape[0] != self.pixels.shape[0]:
+            raise ValueError(f"{self.pixels.shape[0]} images but {self.labels.shape[0]} labels")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
@@ -125,10 +137,6 @@ class Dataset:
         """A split from a (n, 28, 28) uint8 image stack and its labels."""
         if images.ndim != 3 or images.shape[1:] != (28, 28):
             raise ValueError(f"expected (n, 28, 28) pixel stack, got {images.shape}")
-        if images.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"{images.shape[0]} images but {labels.shape[0]} labels"
-            )
         return cls(
             pixels=images.reshape(images.shape[0], 2 * FOLD),
             labels=labels,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASSES
+from .data import CLASSES, class_labels
 
 
 @dataclass
@@ -33,37 +33,27 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def _as_label_array(a, name: str) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return a.astype(np.int64)
-
-
-def accuracy(preds, labels) -> float:
-    preds = _as_label_array(preds, "preds")
-    labels = _as_label_array(labels, "labels")
+def _paired(preds, labels, width: int) -> tuple[np.ndarray, np.ndarray]:
+    preds = class_labels(preds, width, "prediction")
+    labels = class_labels(labels, width, "label")
     if preds.shape[0] != labels.shape[0]:
         raise ValueError(
             f"length mismatch: {preds.shape[0]} predictions vs "
             f"{labels.shape[0]} labels"
         )
+    return preds, labels
+
+
+def accuracy(preds, labels) -> float:
+    """Share of predictions equal to their labels; each a whole number >= 0."""
+    preds, labels = _paired(preds, labels, 2**63)  # no width: any int64 >= 0
     if preds.shape[0] == 0:
         raise ValueError("cannot compute accuracy of zero samples")
     return float((preds == labels).mean())
 
 
 def confusion(preds, labels, n_classes: int = CLASSES) -> ConfusionMatrix:
-    preds = _as_label_array(preds, "preds")
-    labels = _as_label_array(labels, "labels")
-    if preds.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"length mismatch: {preds.shape[0]} predictions vs "
-            f"{labels.shape[0]} labels"
-        )
-    for name, a in (("preds", preds), ("labels", labels)):
-        if a.size and (a.min() < 0 or a.max() >= n_classes):
-            raise ValueError(f"{name} must lie in 0..{n_classes - 1}")
+    preds, labels = _paired(preds, labels, n_classes)
     counts = np.bincount(labels * n_classes + preds, minlength=n_classes * n_classes)
     return ConfusionMatrix(counts.reshape(n_classes, n_classes))
 
@@ -83,8 +73,8 @@ def binary_counts(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:
 def mcc_binary(tp: int, fp: int, tn: int, fn: int) -> float:
     """Matthews correlation; degenerate tables (a zero factor) return 0."""
     for v in (tp, fp, tn, fn):
-        if v < 0:
-            raise ValueError("counts must be >= 0")
+        if not np.issubdtype(type(v), np.integer) or v < 0:
+            raise ValueError(f"counts must be integers >= 0, got {v!r}")
     denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom_sq == 0:
         return 0.0
@@ -119,9 +109,9 @@ def roc_curve(scores, labels, c: int) -> RocCurve:
     """Threshold sweep for class c; a sample is predicted positive when its
     class-c score is >= the threshold.  Thresholds are the distinct observed
     scores bracketed by +-inf so the curve runs from (0,0) to (1,1).  Every
-    class-c score must be finite."""
+    class-c score must be finite, and each label one of the score columns."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = _as_label_array(labels, "labels")
+    labels = class_labels(labels, scores.shape[1] if scores.ndim == 2 else 2**63, "label")
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
         raise ValueError(
             f"scores of shape {scores.shape} do not match {labels.shape[0]} labels"
@@ -191,8 +181,8 @@ class EvalReport:
 def evaluate_predictions(scores, labels) -> EvalReport:
     """Full report from per-sample probability rows and true labels."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = _as_label_array(labels, "labels")
     preds = scores.argmax(axis=1)
+    labels = class_labels(labels, scores.shape[1], "label")
     cm = confusion(preds, labels, n_classes=scores.shape[1])
     return EvalReport(
         accuracy=accuracy(preds, labels),

@@ -16,6 +16,12 @@ DEFAULT_LAM = 0.2
 SEED_LIMIT = 2**63  # a checkpoint stores the seed as a signed 64-bit int
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an int a checkpoint can store."""
+    if not np.issubdtype(type(seed), np.integer) or not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in 0..2**63-1, got {seed}")
+
+
 @dataclass
 class ModelGraph:
     """Ordered layers plus their trainable parameter arrays.
@@ -34,8 +40,7 @@ class ModelGraph:
     def __post_init__(self) -> None:
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must lie in 0..2**63-1, got {self.seed}")
+        check_seed(self.seed)
         if len(self.specs) != len(self.params):
             raise ValueError("one parameter dict required per layer")
         for i in range(1, len(self.specs)):

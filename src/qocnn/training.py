@@ -36,11 +36,9 @@ class DivergenceError(RuntimeError):
 
 def _batch_labels(labels, width: int) -> np.ndarray:
     """The labels of a non-empty batch scored over `width` classes."""
-    labels = np.asarray(labels)
+    labels = data.class_labels(labels, width, "label")
     if labels.size == 0:
         raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= width:
-        raise ValueError(f"labels must lie in 0..{width - 1}")
     return labels
 
 
@@ -129,16 +127,15 @@ class TrainConfig:
     patience: int = 3
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "batch_size", "patience"):
+            value = getattr(self, name)
+            if not np.issubdtype(type(value), np.integer) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        model_mod.check_seed(self.seed)
 
 
 @dataclass

@@ -358,11 +358,11 @@ class TestDataset:
                 labels=np.zeros(3, dtype=np.int64),
                 split="train",
             )
-        assert str(info.value) == "labels must have one entry per item"
+        assert str(info.value) == "2 images but 3 labels"
 
     def test_count_mismatch_rejected(self):
         imgs, _ = synthetic_images(4, seed=9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^4 images but 3 labels$"):
             Dataset.from_arrays(imgs, np.zeros(3, dtype=np.uint8), "train")
 
     @pytest.mark.parametrize(

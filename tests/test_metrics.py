@@ -189,6 +189,15 @@ class TestMccBinary:
         with pytest.raises(ValueError):
             mcc_binary(-1, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(3.0)])
+    def test_non_integer_counts_rejected(self, bad):
+        with pytest.raises(ValueError) as info:
+            mcc_binary(5, 0, bad, 0)
+        assert str(info.value) == f"counts must be integers >= 0, got {bad!r}"
+
+    def test_numpy_integer_counts_accepted(self):
+        assert mcc_binary(*np.array([50, 0, 50, 0], dtype=np.int64)) == 1.0
+
 
 class TestMccMacro:
     def test_diagonal_is_one(self):

@@ -216,7 +216,7 @@ class TestModelGraphValidation:
                 params=[{"M": np.zeros((4, 4), dtype=np.complex128)}],
             )
 
-    @pytest.mark.parametrize("seed", [-1, model_mod.SEED_LIMIT])
+    @pytest.mark.parametrize("seed", [-1, model_mod.SEED_LIMIT, 1.5, True])
     def test_a_seed_a_checkpoint_cannot_store_is_refused(self, seed):
         with pytest.raises(ValueError) as info:
             ModelGraph(arch="onn", specs=[], params=[], seed=seed)

@@ -404,6 +404,31 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("epochs", 1.5, "epochs must be a positive integer, got 1.5"),
+            ("epochs", True, "epochs must be a positive integer, got True"),
+            ("batch_size", 1.5, "batch_size must be a positive integer, got 1.5"),
+            ("batch_size", True, "batch_size must be a positive integer, got True"),
+            ("patience", 1.5, "patience must be a positive integer, got 1.5"),
+            ("patience", 0, "patience must be a positive integer, got 0"),
+            ("seed", -1, "seed must lie in 0..2**63-1, got -1"),
+            ("seed", 2**63, "seed must lie in 0..2**63-1, got 9223372036854775808"),
+            ("seed", 2**64, "seed must lie in 0..2**63-1, got 18446744073709551616"),
+            ("seed", 1.5, "seed must lie in 0..2**63-1, got 1.5"),
+            ("seed", True, "seed must lie in 0..2**63-1, got True"),
+        ],
+    )
+    def test_config_refuses_what_the_cli_refuses(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
+
+    def test_config_takes_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.uint16(8), seed=np.int64(2**62))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 8, 2**62)
+
     def test_history_csv_format(self):
         h = training.TrainHistory()
         h.append(1, 2.0, 1.5, 0.25)
