@@ -162,10 +162,6 @@ def effective_config(args) -> dict:
     for key in eff:
         if getattr(args, key) is not None:
             eff[key] = getattr(args, key)
-    if eff.get("seed", 0) < 0:
-        raise ValueError(f"--seed must be >= 0, got {eff['seed']}")
-    if eff.get("seed", 0) >= model_mod.SEED_LIMIT:
-        raise ValueError(f"--seed must be < 2**63, got {eff['seed']}")
     return eff
 
 
@@ -355,11 +351,11 @@ def tiny_instance(arch: str, seed: int) -> tuple[model_mod.ModelGraph, data.Batc
 
 
 def cmd_gradcheck(eff: dict) -> None:
-    for line in config_lines("gradcheck", eff):
-        print(line)
+    with _exits(EXIT_USAGE, ValueError):  # a seed out of range, before any output
+        instances = [tiny_instance(arch, eff["seed"]) for arch in model_mod.ARCHITECTURES]
+    print("\n".join(config_lines("gradcheck", eff)))
     all_ok = True
-    for arch in model_mod.ARCHITECTURES:
-        model, batch = tiny_instance(arch, eff["seed"])
+    for arch, (model, batch) in zip(model_mod.ARCHITECTURES, instances):
         with _exits(EXIT_USAGE, ValueError):  # eps or tol out of range
             try:
                 report = training.grad_check(model, batch, eps=eff["eps"], tol=eff["tol"])

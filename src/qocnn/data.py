@@ -10,6 +10,7 @@ batch is folded when it is read.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,9 +25,17 @@ LABEL_MAGIC = 0x00000801
 CLASSES = 10  # digits 0..9
 
 
+def as_int(value, rule: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """`value` as a plain int if it is a Python or numpy integer in low..high;
+    anything else, a bool too, raises ValueError(f"{rule}, got {value!r}")."""
+    if type(value) is not bool and isinstance(value, (int, np.integer)) and low <= value <= high:
+        return operator.index(value)
+    raise ValueError(f"{rule}, got {value!r}")
+
+
 def class_labels(values, width: int, what: str) -> np.ndarray:
     """`values` as a new 1-D int64 array of whole numbers in 0..width-1,
-    whatever the dtype; a bool array holds none."""
+    whatever the dtype; a bool, in an array or a list, is none."""
     a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"{what}s must be one-dimensional")
@@ -36,9 +45,11 @@ def class_labels(values, width: int, what: str) -> np.ndarray:
         good = (a >= 0) & (a < width) & (np.floor(a) == a)
     else:  # bool, complex, text
         good = np.zeros(a.shape, dtype=bool)
+    if not isinstance(values, np.ndarray):  # np.asarray([1, True]) is int64
+        good &= np.array([not isinstance(v, (bool, np.bool_)) for v in values], bool)
     if not good.all():
         i = int(np.argmin(good))
-        raise ValueError(f"{what} value {a[i]} at index {i} out of range 0..{width - 1}")
+        raise ValueError(f"{what} value {values[i]} at index {i} out of range 0..{width - 1}")
     return a.astype(np.int64)
 
 
@@ -169,8 +180,7 @@ def batch_iter(ds: Dataset, batch_size: int, seed: int) -> Iterator[Batch]:
 
     Every item appears exactly once; the final batch may be short.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    as_int(batch_size, "batch_size must be >= 1", 1)
     order = np.random.default_rng(seed).permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start : start + batch_size]

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import FOLD
+from .data import FOLD, as_int
 
 # Complex entries with modulus below this are routed to the zero branch of
 # the modulus-softplus nonlinearity.
@@ -53,8 +53,13 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dimensions must be positive")
+        for name in ("in_dim", "out_dim", "k", "s", "w", "p"):
+            if (value := getattr(self, name)) is not None and type(value) is not int:
+                rule = f"{self.kind} {name} must be an integer"  # a plain int needs no call
+                object.__setattr__(self, name, as_int(value, rule))
+        for name in ("in_dim", "out_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{self.kind} {name} must be >= 1, got {getattr(self, name)}")
         KINDS[self.kind].check(self)
 
 
@@ -63,8 +68,9 @@ def pooled_len(n: int, w: int, p: int) -> int:
 
 
 def pool_spec(n: int, w: int, p: int) -> LayerSpec:
-    if p < 1:  # pooled_len divides by p before LayerSpec can check it
-        raise ValueError(f"pooling stride p must be >= 1, got {p}")
+    n, w, p = (as_int(v, f"split_max_pool {name} must be an integer")
+               for name, v in (("n", n), ("w", w), ("p", p)))
+    as_int(p, "pooling stride p must be >= 1", 1)  # before pooled_len divides by it
     return LayerSpec("split_max_pool", n, pooled_len(n, w, p), w=w, p=p)
 
 
@@ -428,8 +434,7 @@ def _check_sinusoid(spec: LayerSpec) -> None:
 def _check_conv(spec: LayerSpec) -> None:
     if spec.k is None or spec.s is None:
         raise ValueError("quantum_conv requires kernel side k and stepsize s")
-    if spec.s < 1:
-        raise ValueError(f"stepsize must be >= 1, got {spec.s}")
+    as_int(spec.s, "stepsize must be >= 1", 1)
     if not 1 <= spec.k <= spec.in_dim:
         raise ValueError(f"kernel side {spec.k} must lie in 1..{spec.in_dim}")
     if spec.s > spec.in_dim:  # every s >= d gives the M_f of s = d
@@ -439,10 +444,8 @@ def _check_conv(spec: LayerSpec) -> None:
 
 
 def _check_pool(spec: LayerSpec) -> None:
-    if spec.w is None or spec.p is None:
-        raise ValueError("split_max_pool requires window w and stride p")
-    if spec.w < 1 or spec.p < 1:
-        raise ValueError("pooling window and stride must be >= 1")
+    as_int(spec.w, "pooling window w must be >= 1", 1)
+    as_int(spec.p, "pooling stride p must be >= 1", 1)
     if spec.w > spec.in_dim:
         raise ValueError(f"pooling window {spec.w} exceeds input length {spec.in_dim}")
     if spec.p > spec.in_dim:  # every p >= in_dim gives one window per row

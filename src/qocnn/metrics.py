@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASSES, class_labels
+from .data import CLASSES, as_int, class_labels
 
 
 @dataclass
@@ -73,8 +73,7 @@ def binary_counts(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:
 def mcc_binary(tp: int, fp: int, tn: int, fn: int) -> float:
     """Matthews correlation; degenerate tables (a zero factor) return 0."""
     for v in (tp, fp, tn, fn):
-        if not np.issubdtype(type(v), np.integer) or v < 0:
-            raise ValueError(f"counts must be integers >= 0, got {v!r}")
+        as_int(v, "counts must be integers >= 0", 0)
     denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom_sq == 0:
         return 0.0

@@ -16,10 +16,9 @@ DEFAULT_LAM = 0.2
 SEED_LIMIT = 2**63  # a checkpoint stores the seed as a signed 64-bit int
 
 
-def check_seed(seed) -> None:
-    """Refuse a seed that is not an int a checkpoint can store."""
-    if not np.issubdtype(type(seed), np.integer) or not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must lie in 0..2**63-1, got {seed}")
+def check_seed(seed) -> int:
+    """`seed` as a plain int, if it is an integer a checkpoint can store."""
+    return data.as_int(seed, "seed must lie in 0..2**63-1", 0, SEED_LIMIT - 1)
 
 
 @dataclass
@@ -40,7 +39,9 @@ class ModelGraph:
     def __post_init__(self) -> None:
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        check_seed(self.seed)
+        self.seed = check_seed(self.seed)
+        if not 0 < self.lam < np.inf:  # for every architecture, sinusoid or not
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if len(self.specs) != len(self.params):
             raise ValueError("one parameter dict required per layer")
         for i in range(1, len(self.specs)):
@@ -92,6 +93,7 @@ def architecture_specs(
         ]
         in_dim = front[-1].out_dim
     h = hidden if hidden is not None else 64 if arch == "qocnn" else 128
+    h = data.as_int(h, "hidden must be a positive integer", 1)
     return front + [
         LayerSpec("complex_linear", in_dim, h),
         LayerSpec("mod_softplus", h, h) if arch == "onn"
@@ -105,7 +107,7 @@ def architecture_specs(
 def new_model(arch: str, seed: int = 0, lam: float = DEFAULT_LAM, **kwargs) -> ModelGraph:
     """Freshly initialized model of the named architecture."""
     specs = architecture_specs(arch, lam=lam, **kwargs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     params = [init_layer_params(spec, rng) for spec in specs]
     return ModelGraph(arch=arch, specs=specs, params=params, seed=seed, lam=lam)
 

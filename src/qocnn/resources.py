@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import FOLD
+from .data import FOLD, as_int
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,8 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         for name in ("L", "n", "b"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            count = as_int(getattr(self, name), f"{name} must be a positive integer", 1)
+            object.__setattr__(self, name, count)  # exact counts at any size
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,7 @@ class ResourceReport:
 
 
 def ceil_log2(x: int) -> int:
-    if x < 1:
-        raise ValueError(f"ceil_log2 requires x >= 1, got {x}")
-    return (x - 1).bit_length()
+    return (as_int(x, "ceil_log2 requires x >= 1", 1) - 1).bit_length()
 
 
 def classical_ops(w: WorkloadSpec) -> int:

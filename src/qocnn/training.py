@@ -128,14 +128,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "patience"):
-            value = getattr(self, name)
-            if not np.issubdtype(type(value), np.integer) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            value = data.as_int(getattr(self, name), f"{name} must be a positive integer", 1)
+            setattr(self, name, value)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        model_mod.check_seed(self.seed)
+        self.seed = model_mod.check_seed(self.seed)
 
 
 @dataclass

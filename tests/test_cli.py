@@ -331,10 +331,10 @@ class TestTrain:
         "extra, message",
         [
             (["--arch", "qocnn", "--pool-p", "0"], "pooling stride p must be >= 1, got 0"),
-            (["--seed=-1"], "--seed must be >= 0, got -1"),
+            (["--seed=-1"], "seed must lie in 0..2**63-1, got -1"),
             (
                 ["--seed", str(2**63)],
-                "--seed must be < 2**63, got 9223372036854775808",
+                "seed must lie in 0..2**63-1, got 9223372036854775808",
             ),
             (
                 ["--arch", "qocnn", "--pool-p", str(2**32)],
@@ -856,7 +856,7 @@ class TestGradcheckCommand:
 
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(["gradcheck", "--seed=-1"], capsys)
-        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+        assert (code, out, err) == (2, "", "error: seed must lie in 0..2**63-1, got -1\n")
 
     def test_overflowing_eps_exits_2_naming_the_layer(self, capsys):
         code, out, err = run(["gradcheck", "--eps", "1e300"], capsys)

@@ -9,7 +9,9 @@ range 0..W-1`.  W is 10 for a `Dataset` (so `Dataset.load` and
 `roc_curve` and `evaluate_predictions`.  `accuracy` has no width: there W
 is 2**63, so any whole number >= 0 is a label.  The loss also refuses an
 empty batch.  Every cell raises `ValueError` with its message or gives its
-documented result.
+documented result.  A cell whose values are a tuple passes them as a Python
+sequence, where `np.asarray` would read `(1, True)` as int64: a bool or
+`np.bool_` in it is refused too.
 """
 
 import inspect
@@ -66,6 +68,8 @@ def refused(value, index: int = 2, width: int = 10, what: str = "label") -> str:
 
 NAN = math.nan
 BOOLS = [True, True, False, True]  # a bool array: its first value is refused
+MIXED = (1, 3, True, 4)  # a tuple, so no array: the bool at index 2 is refused
+NP_MIXED = (1, 3, np.True_, 4)
 ANY = 2**63  # accuracy's width
 
 
@@ -80,38 +84,50 @@ BATCH_CASES = [
     ("backward", "labels", [1, 3, 1.5, 4], refused(1.5)),
     ("backward", "labels", [1, 3, NAN, 4], refused("nan")),
     ("backward", "labels", BOOLS, refused(True, index=0)),
+    ("backward", "labels", MIXED, refused(True)),
     ("nll_mean", "labels", [0, 1, 2, -1], refused(-1, index=3)),
     ("nll_mean", "labels", [10], refused(10, index=0)),
     ("nll_mean", "labels", [], "empty batch"),  # parent
     ("nll_mean", "labels", [1, 3, 1.5, 4], refused(1.5)),
     ("nll_mean", "labels", [1, 3, NAN, 4], refused("nan")),
     ("nll_mean", "labels", BOOLS, refused(True, index=0)),
+    ("nll_mean", "labels", NP_MIXED, refused(True)),
     # from_arrays' 1.5 and -1 are SPLIT_CASES
     ("from_arrays", "labels", [1, 3, NAN, 4], refused("nan")),  # parent
     ("from_arrays", "labels", [1, 3, 10, 4], refused(10)),  # parent
     ("from_arrays", "labels", BOOLS, refused(True, index=0)),
+    ("from_arrays", "labels", MIXED, refused(True)),
+    ("from_arrays", "labels", NP_MIXED, refused(True)),
+    ("from_arrays", "labels", (1, 3, 0, 4), ("int64", [1, 3, 0, 4])),  # parent
     ("from_arrays", "labels", [], ("int64", [])),  # parent
     ("accuracy", "labels", [1, 3, 1.5, 4], refused(1.5, width=ANY)),
     ("accuracy", "labels", [1, 3, NAN, 4], refused("nan", width=ANY)),
     ("accuracy", "labels", [1, 3, -1, 4], refused(-1, width=ANY)),
     ("accuracy", "labels", [1, 3, 10, 4], 0.75),  # parent
     ("accuracy", "labels", BOOLS, refused(True, index=0, width=ANY)),
+    ("accuracy", "labels", MIXED, refused(True, width=ANY)),
+    ("accuracy", "labels", NP_MIXED, refused(True, width=ANY)),
+    ("accuracy", "labels", (1, 3, 0, 4), 1.0),  # parent
     ("accuracy", "labels", [], "cannot compute accuracy of zero samples"),  # parent
     ("accuracy", "preds", [1, 3, 1.5, 4], refused(1.5, width=ANY, what="prediction")),
     ("accuracy", "preds", [1, 3, 10, 4], 0.75),  # parent
+    ("accuracy", "preds", MIXED, refused(True, width=ANY, what="prediction")),
     ("confusion", "labels", [1, 3, 1.5, 4], refused(1.5)),
     ("confusion", "labels", [1, 3, NAN, 4], refused("nan")),
     ("confusion", "labels", [1, 3, -1, 4], refused(-1)),
     ("confusion", "labels", [1, 3, 10, 4], refused(10)),
     ("confusion", "labels", BOOLS, refused(True, index=0)),
+    ("confusion", "labels", MIXED, refused(True)),
     ("confusion", "labels", [], [[0] * 10] * 10),  # parent
     ("confusion", "preds", [1, 3, 1.5, 4], refused(1.5, what="prediction")),
     ("confusion", "preds", [1, 3, 10, 4], refused(10, what="prediction")),
+    ("confusion", "preds", NP_MIXED, refused(True, what="prediction")),
     ("roc_curve", "labels", [1, 3, 1.5, 4], refused(1.5)),
     ("roc_curve", "labels", [1, 3, NAN, 4], refused("nan")),
     ("roc_curve", "labels", [1, 3, -1, 4], refused(-1)),
     ("roc_curve", "labels", [1, 3, 10, 4], refused(10)),
     ("roc_curve", "labels", BOOLS, refused(True, index=0)),
+    ("roc_curve", "labels", MIXED, refused(True)),
     (
         "roc_curve",
         "labels",
@@ -123,12 +139,13 @@ BATCH_CASES = [
     ("evaluate_predictions", "labels", [1, 3, -1, 4], refused(-1)),
     ("evaluate_predictions", "labels", [1, 3, 10, 4], refused(10)),
     ("evaluate_predictions", "labels", BOOLS, refused(True, index=0)),
+    ("evaluate_predictions", "labels", MIXED, refused(True)),
     ("evaluate_predictions", "labels", [], "cannot compute accuracy of zero samples"),  # parent
 ]
 
 
 def _call(fn: str, arg: str, values: list):
-    hostile = np.asarray(values)
+    hostile = values if isinstance(values, tuple) else np.asarray(values)
     n = len(hostile)
     valid = np.array(BASE[:n], dtype=np.int64)
     preds, labels = (hostile, valid) if arg == "preds" else (valid, hostile)
